@@ -7,28 +7,16 @@ propagator and analytic optics references, with a shot-sampling error
 analysis harness.
 """
 
-from .circuit import (
-    Circuit,
-    ControlledPhase,
-    Gate,
-    Hadamard,
-    MultiControlledPhase,
-    Phase,
-    Swap,
-    fold_phase,
-    scaled_phase,
-)
+from .circuit import MAX_QUBITS, Circuit, Gate, Hadamard, PhaseGate, Swap, fold_phase, scaled_phase
 from .classical_bpm import Field, GridSpec, propagate_1d, propagate_2d, rmse
 from .propagator import (
     DispersionPolynomial,
     MonomialTerm,
-    PhaseAngle,
     build_monomial_propagator,
     build_qbpm_circuit,
     build_qbpm_circuit_2d,
     decompose_monomial,
     diagonal_oracle,
-    paraxial_phase,
     signed_index_weights,
 )
 from .qft import BACKWARD, FORWARD, build_iqft, build_qft, dft_oracle
@@ -39,11 +27,12 @@ from .scenarios import (
     DoubleSlitParams,
     ErrorStats,
     GaussianParams,
-    WaistEstimate,
     double_slit_analytic,
     double_slit_initial,
+    double_slit_runner,
     error_analysis,
     gaussian_initial_2d,
+    gaussian_runner,
     predicted_fringe_positions,
     waist_from_counts,
     waist_from_field,
@@ -56,7 +45,6 @@ __all__ = [
     "Circuit",
     "DEFAULT_DOUBLE_SLIT",
     "DEFAULT_GAUSSIAN_2D",
-    "ControlledPhase",
     "DispersionPolynomial",
     "DoubleSlitParams",
     "ErrorStats",
@@ -66,14 +54,12 @@ __all__ = [
     "GaussianParams",
     "GridSpec",
     "Hadamard",
+    "MAX_QUBITS",
     "MonomialTerm",
-    "MultiControlledPhase",
-    "Phase",
-    "PhaseAngle",
+    "PhaseGate",
     "SampleCounts",
     "StateVector",
     "Swap",
-    "WaistEstimate",
     "build_iqft",
     "build_monomial_propagator",
     "build_qbpm_circuit",
@@ -84,10 +70,11 @@ __all__ = [
     "diagonal_oracle",
     "double_slit_analytic",
     "double_slit_initial",
+    "double_slit_runner",
     "error_analysis",
     "fold_phase",
     "gaussian_initial_2d",
-    "paraxial_phase",
+    "gaussian_runner",
     "predicted_fringe_positions",
     "propagate_1d",
     "propagate_2d",

@@ -8,6 +8,10 @@ from typing import Iterable, Iterator, Union
 
 TWO_PI = 2.0 * math.pi
 
+# Qubit budget shared by every builder and command: 2**24 complex128
+# amplitudes are 256 MiB.  Two-axis registers get MAX_QUBITS // 2 per axis.
+MAX_QUBITS = 24
+
 # 2*pi to 50 decimal digits, used to reduce large integer multiples of a
 # phase without the rounding a double-precision product would introduce.
 _TWO_PI_EXACT = Fraction("6.28318530717958647692528676655900576839433879875021")
@@ -56,57 +60,24 @@ class Hadamard:
 
 
 @dataclass(frozen=True)
-class Phase:
-    """diag(1, exp(i*phi)) on the target qubit."""
+class PhaseGate:
+    """exp(i*phi) on basis states where every listed qubit is 1.
 
-    target: int
+    One qubit is a plain phase gate, two a controlled phase, three or more
+    a multi-controlled phase.  The gate is symmetric in its qubits, which
+    are stored sorted.
+    """
+
+    qubits: tuple[int, ...]
     phi: float
 
     def __post_init__(self) -> None:
-        _check_indices(self.target)
+        qubits = tuple(sorted(self.qubits))
+        if not qubits:
+            raise ValueError("a phase gate needs at least one qubit")
+        _check_indices(*qubits)
+        object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "phi", fold_phase(self.phi))
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.target,)
-
-
-@dataclass(frozen=True)
-class ControlledPhase:
-    """exp(i*phi) on basis states where control and target are both 1."""
-
-    control: int
-    target: int
-    phi: float
-
-    def __post_init__(self) -> None:
-        _check_indices(self.control, self.target)
-        object.__setattr__(self, "phi", fold_phase(self.phi))
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.control, self.target)
-
-
-@dataclass(frozen=True)
-class MultiControlledPhase:
-    """exp(i*phi) on basis states where every control and the target are 1."""
-
-    controls: tuple[int, ...]
-    target: int
-    phi: float
-
-    def __post_init__(self) -> None:
-        controls = tuple(sorted(self.controls))
-        if not controls:
-            raise ValueError("at least one control qubit is required")
-        _check_indices(*controls, self.target)
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "phi", fold_phase(self.phi))
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.controls + (self.target,)
 
 
 @dataclass(frozen=True)
@@ -122,31 +93,29 @@ class Swap:
         return (self.a, self.b)
 
 
-Gate = Union[Hadamard, Phase, ControlledPhase, MultiControlledPhase, Swap]
+Gate = Union[Hadamard, PhaseGate, Swap]
 
 GATE_KINDS = ("Hadamard", "Phase", "ControlledPhase", "MultiControlledPhase", "Swap")
 
 
+def _kind(gate: Gate) -> str:
+    """``GATE_KINDS`` label; a phase gate is labelled by its arity."""
+    if isinstance(gate, PhaseGate):
+        return GATE_KINDS[min(len(gate.qubits), 3)]
+    return type(gate).__name__
+
+
 def _inverted(gate: Gate) -> Gate:
-    if isinstance(gate, Phase):
-        return Phase(gate.target, -gate.phi)
-    if isinstance(gate, ControlledPhase):
-        return ControlledPhase(gate.control, gate.target, -gate.phi)
-    if isinstance(gate, MultiControlledPhase):
-        return MultiControlledPhase(gate.controls, gate.target, -gate.phi)
+    if isinstance(gate, PhaseGate):
+        return PhaseGate(gate.qubits, -gate.phi)
     return gate  # Hadamard and Swap are self-inverse
 
 
 def _shifted(gate: Gate, offset: int) -> Gate:
+    if isinstance(gate, PhaseGate):
+        return PhaseGate(tuple(q + offset for q in gate.qubits), gate.phi)
     if isinstance(gate, Hadamard):
         return Hadamard(gate.target + offset)
-    if isinstance(gate, Phase):
-        return Phase(gate.target + offset, gate.phi)
-    if isinstance(gate, ControlledPhase):
-        return ControlledPhase(gate.control + offset, gate.target + offset, gate.phi)
-    if isinstance(gate, MultiControlledPhase):
-        controls = tuple(c + offset for c in gate.controls)
-        return MultiControlledPhase(controls, gate.target + offset, gate.phi)
     return Swap(gate.a + offset, gate.b + offset)
 
 
@@ -189,7 +158,7 @@ class Circuit:
         """Exact per-kind gate counts; every kind is present, possibly zero."""
         counts = {kind: 0 for kind in GATE_KINDS}
         for gate in self._gates:
-            counts[type(gate).__name__] += 1
+            counts[_kind(gate)] += 1
         return counts
 
     def inverse(self) -> "Circuit":
@@ -213,8 +182,9 @@ class Circuit:
     def to_qasm_text(self) -> str:
         """OpenQASM 2.0 text for this circuit.
 
-        Multi-controlled phases with two controls are expanded with the
-        standard cp/cx construction; higher arities are rejected.
+        Three-qubit phase gates are expanded with the standard cp/cx
+        construction, the two lowest qubits acting as controls; higher
+        arities are rejected.
         """
         lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{self.n_qubits}];"]
         for gate in self._gates:
@@ -225,27 +195,25 @@ class Circuit:
 def _qasm_lines(gate: Gate) -> list[str]:
     if isinstance(gate, Hadamard):
         return [f"h q[{gate.target}];"]
-    if isinstance(gate, Phase):
-        return [f"p({gate.phi!r}) q[{gate.target}];"]
-    if isinstance(gate, ControlledPhase):
-        return [f"cp({gate.phi!r}) q[{gate.control}],q[{gate.target}];"]
     if isinstance(gate, Swap):
         return [f"swap q[{gate.a}],q[{gate.b}];"]
-    if isinstance(gate, MultiControlledPhase):
-        if len(gate.controls) == 1:
-            return [f"cp({gate.phi!r}) q[{gate.controls[0]}],q[{gate.target}];"]
-        if len(gate.controls) == 2:
-            c1, c2 = gate.controls
-            t = gate.target
-            half = fold_phase(gate.phi / 2.0)
-            return [
-                f"cp({half!r}) q[{c2}],q[{t}];",
-                f"cx q[{c1}],q[{c2}];",
-                f"cp({-half!r}) q[{c2}],q[{t}];",
-                f"cx q[{c1}],q[{c2}];",
-                f"cp({half!r}) q[{c1}],q[{t}];",
-            ]
-        raise ValueError(
-            f"cannot export a phase gate with {len(gate.controls)} controls to OpenQASM 2.0"
-        )
-    raise TypeError(f"unknown gate type {type(gate).__name__}")
+    if not isinstance(gate, PhaseGate):
+        raise TypeError(f"unknown gate type {type(gate).__name__}")
+    qubits = gate.qubits
+    if len(qubits) == 1:
+        return [f"p({gate.phi!r}) q[{qubits[0]}];"]
+    if len(qubits) == 2:
+        return [f"cp({gate.phi!r}) q[{qubits[0]}],q[{qubits[1]}];"]
+    if len(qubits) == 3:
+        c1, c2, t = qubits
+        half = fold_phase(gate.phi / 2.0)
+        return [
+            f"cp({half!r}) q[{c2}],q[{t}];",
+            f"cx q[{c1}],q[{c2}];",
+            f"cp({-half!r}) q[{c2}],q[{t}];",
+            f"cx q[{c1}],q[{c2}];",
+            f"cp({half!r}) q[{c1}],q[{t}];",
+        ]
+    raise ValueError(
+        f"cannot export a phase gate with {len(qubits) - 1} controls to OpenQASM 2.0"
+    )

@@ -33,8 +33,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.n_points) or self.n_points < 2:
             raise ValueError(f"n_points must be a power of two >= 2, got {self.n_points}")
-        if not (self.dx > 0.0):
-            raise ValueError(f"dx must be positive, got {self.dx}")
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
 
     @classmethod
     def from_qubits(cls, n_qubits: int, length: float) -> "GridSpec":
@@ -101,12 +101,19 @@ class Field:
         return float(np.sum(self.intensity()))
 
 
-def _check_propagation_args(wavelength: float, z: float) -> float:
-    if not (wavelength > 0.0):
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if z < 0.0:
-        raise ValueError(f"propagation distance must be non-negative, got {z}")
+def wavenumber(wavelength: float) -> float:
+    """``k = 2 pi / wavelength`` for a positive, finite wavelength."""
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
     return 2.0 * math.pi / wavelength
+
+
+def check_propagation_args(wavelength: float, z: float) -> float:
+    """Wavenumber of ``wavelength``; ``z`` must be non-negative and finite."""
+    k = wavenumber(wavelength)
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"propagation distance must be non-negative and finite, got {z}")
+    return k
 
 
 def propagate_1d(field: Field, wavelength: float, z: float) -> Field:
@@ -119,7 +126,7 @@ def propagate_1d(field: Field, wavelength: float, z: float) -> Field:
     """
     if field.ndim != 1:
         raise ValueError("propagate_1d expects a 1D field")
-    k = _check_propagation_args(wavelength, z)
+    k = check_propagation_args(wavelength, z)
     grid = field.grids[0]
     alpha = grid.frequencies()
     spectrum = np.fft.fft(field.values, norm="ortho")
@@ -131,7 +138,7 @@ def propagate_2d(field: Field, wavelength: float, z: float) -> Field:
     """Paraxial propagation of a 2D field; transfer phase uses alpha**2 + beta**2."""
     if field.ndim != 2:
         raise ValueError("propagate_2d expects a 2D field")
-    k = _check_propagation_args(wavelength, z)
+    k = check_propagation_args(wavelength, z)
     grid_x, grid_y = field.grids
     alpha = grid_x.frequencies()[np.newaxis, :]
     beta = grid_y.frequencies()[:, np.newaxis]

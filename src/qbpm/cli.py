@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical_bpm
+from .circuit import MAX_QUBITS
 from .classical_bpm import Field, GridSpec
-from .propagator import build_qbpm_circuit, build_qbpm_circuit_2d, decompose_monomial
+from .propagator import DispersionPolynomial, build_qbpm_circuit, decompose_monomial
 from .qft import build_iqft, build_qft
 from .qstate import StateVector
 from .scenarios import (
@@ -29,16 +30,11 @@ from .scenarios import (
     DEFAULT_GAUSSIAN_2D,
     DoubleSlitParams,
     GaussianParams,
-    double_slit_analytic,
-    double_slit_initial,
+    double_slit_runner,
     error_analysis,
-    gaussian_initial_2d,
+    gaussian_runner,
     waist_from_counts,
-    waist_from_field,
 )
-
-MAX_QUBITS_1D = 24
-MAX_QUBITS_PER_AXIS = 12
 
 
 class VerificationError(Exception):
@@ -140,6 +136,18 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, list):
+        return "list of numbers" if all(_json_kind(v) == "number" for v in value) else "list"
+    if isinstance(value, str):
+        return "string"
+    return "null" if value is None else type(value).__name__
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS[command])
     if getattr(args, "config", None):
@@ -150,15 +158,31 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(from_file, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(from_file) - set(config)
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in from_file.items():
+            default = config[key]
+            # a None default is an optional string or number
+            allowed = ("string", "number", "null") if default is None else (_json_kind(default),)
+            if _json_kind(value) not in allowed:
+                expected = " or ".join(allowed)
+                raise ValueError(f"config key {key!r} must be a {expected}, got {value!r}")
         config.update(from_file)
     for key in config:
         value = getattr(args, key, None)
         if value is not None and value is not False:
             config[key] = value
     return config
+
+
+def _qubits(config: dict, limit: int = MAX_QUBITS, what: str = "qubits") -> int:
+    n = int(config["qubits"])
+    if not 1 <= n <= limit:
+        raise ValueError(f"{what} must be in 1..{limit}, got {n}")
+    return n
 
 
 def _check_positive(config: dict, keys: tuple[str, ...]) -> None:
@@ -181,19 +205,15 @@ def _write_config(out: Path, command: str, config: dict) -> None:
 
 def cmd_double_slit(config: dict) -> int:
     _check_positive(config, ("wavelength", "slit_separation", "slit_width", "domain_length"))
-    n = int(config["qubits"])
-    if not 1 <= n <= MAX_QUBITS_1D:
-        raise ValueError(f"qubits must be in 1..{MAX_QUBITS_1D}, got {n}")
     params = DoubleSlitParams(
         slit_separation=float(config["slit_separation"]),
         slit_width=float(config["slit_width"]),
         wavelength=float(config["wavelength"]),
-        n_qubits=n,
+        n_qubits=_qubits(config),
         domain_length=float(config["domain_length"]),
     )
+    at = double_slit_runner(params)
     grid = params.make_grid()
-    initial = double_slit_initial(params, grid)
-    state0 = StateVector.from_amplitudes(initial.values)
     order = np.argsort(grid.coordinates(), kind="stable")
     x_sorted = grid.coordinates()[order]
 
@@ -202,17 +222,11 @@ def cmd_double_slit(config: dict) -> int:
     rmse_rows = []
     for index, z in enumerate(config["z"]):
         z = float(z)
-        circuit = build_qbpm_circuit(n, grid, params.wavelength, z)
-        state = circuit.run(state0)
+        state, analytic = at(z)
         exact = state.probabilities()
         sampled = state.sample(int(config["shots"]), int(config["seed"])).frequencies(
             state.n_states
         )
-        if z == 0.0:
-            analytic = initial.intensity()
-            analytic = analytic / analytic.sum()
-        else:
-            analytic = double_slit_analytic(params, grid, z)
         rows = zip(x_sorted, sampled[order], exact[order], analytic[order])
         _write_csv(
             out / f"pattern_z{index:02d}.csv",
@@ -229,18 +243,14 @@ def cmd_double_slit(config: dict) -> int:
 
 def cmd_gaussian_2d(config: dict) -> int:
     _check_positive(config, ("wavelength", "waist", "domain_length"))
-    n = int(config["qubits"])
-    if not 1 <= n <= MAX_QUBITS_PER_AXIS:
-        raise ValueError(f"qubits per axis must be in 1..{MAX_QUBITS_PER_AXIS}, got {n}")
     params = GaussianParams(
         waist=float(config["waist"]),
         wavelength=float(config["wavelength"]),
-        n_qubits_per_axis=n,
+        n_qubits_per_axis=_qubits(config, MAX_QUBITS // 2, "qubits per axis"),
         domain_length=float(config["domain_length"]),
     )
+    at = gaussian_runner(params)
     grids = params.make_grids()
-    initial = gaussian_initial_2d(params, grids)
-    state0 = StateVector.from_amplitudes(initial.values)
     z0 = params.rayleigh_length
     shape = (grids[1].n_points, grids[0].n_points)
 
@@ -250,8 +260,7 @@ def cmd_gaussian_2d(config: dict) -> int:
     for index, zr in enumerate(config["zr"]):
         zr = float(zr)
         z = zr * z0
-        circuit = build_qbpm_circuit_2d(n, grids[0], grids[1], params.wavelength, z)
-        state = circuit.run(state0)
+        state, w_ref = at(z)
         counts = state.sample(int(config["shots"]), int(config["seed"]))
         sampled = counts.frequencies(state.n_states).reshape(shape)
         _write_grid(out / f"intensity_zr{index:02d}_sampled", sampled, config["format"])
@@ -260,8 +269,6 @@ def cmd_gaussian_2d(config: dict) -> int:
             state.probabilities().reshape(shape),
             config["format"],
         )
-        reference = classical_bpm.propagate_2d(initial, params.wavelength, z)
-        w_ref = waist_from_field(reference, params.center)
         w_q = waist_from_counts(counts, grids, params.center)
         waist_rows.append((zr, z, w_q, w_ref, w_q - w_ref))
     _write_csv(out / "waist.csv", ["z_ratio", "z", "w_sampled", "w_reference", "error"], waist_rows)
@@ -307,8 +314,8 @@ def cmd_propagate(config: dict) -> int:
     z = float(config["z"][0])
     values = _load_field(config["input"])
     n = len(values).bit_length() - 1
-    if n > MAX_QUBITS_1D:
-        raise ValueError(f"input field needs {n} qubits, budget is {MAX_QUBITS_1D}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"input field needs {n} qubits, budget is {MAX_QUBITS}")
     grid = GridSpec(len(values), float(config["dx"]))
     state0 = StateVector.from_amplitudes(values)
 
@@ -402,10 +409,8 @@ def _fmt_kinds(counts: dict[str, int]) -> str:
 
 
 def cmd_gate_count(config: dict) -> int:
-    n = int(config["qubits"])
+    n = _qubits(config)
     p = int(config["order"])
-    if not 1 <= n <= MAX_QUBITS_1D:
-        raise ValueError(f"qubits must be in 1..{MAX_QUBITS_1D}, got {n}")
     qft_counts = build_qft(n).gate_count()
     iqft_counts = build_iqft(n).gate_count()
     propagator_total = len(decompose_monomial(n, p))
@@ -452,21 +457,14 @@ def cmd_gate_count(config: dict) -> int:
 
 def cmd_export_qasm(config: dict) -> int:
     _check_positive(config, ("wavelength", "domain_length"))
-    n = int(config["qubits"])
-    if not 1 <= n <= MAX_QUBITS_1D:
-        raise ValueError(f"qubits must be in 1..{MAX_QUBITS_1D}, got {n}")
+    n = _qubits(config)
     if len(config["z"]) != 1:
         raise ValueError("export-qasm expects exactly one --z value")
     grid = GridSpec.from_qubits(n, float(config["domain_length"]))
-    p = int(config["order"])
-    from .propagator import DispersionPolynomial
-
     wavelength = float(config["wavelength"])
-    if p == 2:
-        polynomial = None
-    else:
-        k = 2.0 * np.pi / wavelength
-        polynomial = DispersionPolynomial({p: -1.0 / (2.0 * k)})
+    # every order gets the paraxial (quadratic) coefficient
+    quadratic = DispersionPolynomial.paraxial(wavelength).orders[2]
+    polynomial = DispersionPolynomial({int(config["order"]): quadratic})
     circuit = build_qbpm_circuit(n, grid, wavelength, float(config["z"][0]), polynomial)
     text = circuit.to_qasm_text()
     out = _out_dir(config)
@@ -570,7 +568,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,25 +11,16 @@ sign-bit terms themselves; no index reshuffling happens anywhere.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    ControlledPhase,
-    Gate,
-    MultiControlledPhase,
-    Phase,
-    scaled_phase,
-)
-from .classical_bpm import GridSpec
+from .circuit import MAX_QUBITS, Circuit, PhaseGate, scaled_phase
+from .classical_bpm import GridSpec, check_propagation_args, wavenumber
 from .qft import FORWARD, build_iqft, build_qft
 
 MAX_ORDER = 4
-MAX_TOTAL_QUBITS = 24
 _MAX_ORACLE_QUBITS = 14
 
 
@@ -44,32 +35,6 @@ class MonomialTerm:
         object.__setattr__(self, "qubits", tuple(sorted(self.qubits)))
         if len(set(self.qubits)) != len(self.qubits) or not self.qubits:
             raise ValueError("qubits must be a non-empty set of distinct indices")
-
-
-@dataclass(frozen=True)
-class PhaseAngle:
-    """Phase per unit ``g**2``, optionally derived from physical inputs."""
-
-    phi: float
-    z: float | None = None
-    k: float | None = None
-    n_points: int | None = None
-    dx: float | None = None
-
-    @classmethod
-    def from_physical(cls, grid: GridSpec, wavelength: float, z: float) -> "PhaseAngle":
-        k = 2.0 * math.pi / wavelength
-        phi = paraxial_phase(grid, wavelength, z)
-        return cls(phi, z=z, k=k, n_points=grid.n_points, dx=grid.dx)
-
-    def __float__(self) -> float:
-        return self.phi
-
-
-def paraxial_phase(grid: GridSpec, wavelength: float, z: float) -> float:
-    """Quadratic-order phase per unit ``g**2``: ``-2 pi**2 z / (N**2 dx**2 k)``."""
-    k = 2.0 * math.pi / wavelength
-    return -2.0 * math.pi**2 * z / (grid.n_points**2 * grid.dx**2 * k)
 
 
 @dataclass(frozen=True)
@@ -88,10 +53,7 @@ class DispersionPolynomial:
     @classmethod
     def paraxial(cls, wavelength: float) -> "DispersionPolynomial":
         """Quadratic truncation of the free-space dispersion, ``-alpha**2 / (2 k)``."""
-        if not (wavelength > 0.0):
-            raise ValueError(f"wavelength must be positive, got {wavelength}")
-        k = 2.0 * math.pi / wavelength
-        return cls({2: -1.0 / (2.0 * k)})
+        return cls({2: -1.0 / (2.0 * wavenumber(wavelength))})
 
     def phase_angles(self, grid: GridSpec, z: float) -> dict[int, float]:
         """Per-order phase per unit ``g**p`` after discretizing ``alpha = g * d_alpha``."""
@@ -133,27 +95,16 @@ def decompose_monomial(n: int, p: int) -> list[MonomialTerm]:
     return [MonomialTerm(qubits, coefficient) for qubits, coefficient in ordered]
 
 
-def _term_gate(term: MonomialTerm, phi: float) -> Gate:
-    angle = scaled_phase(phi, term.coefficient)
-    if len(term.qubits) == 1:
-        return Phase(term.qubits[0], angle)
-    if len(term.qubits) == 2:
-        return ControlledPhase(term.qubits[0], term.qubits[1], angle)
-    return MultiControlledPhase(term.qubits[:-1], term.qubits[-1], angle)
-
-
-def build_monomial_propagator(n: int, p: int, phi) -> Circuit:
+def build_monomial_propagator(n: int, p: int, phi: float) -> Circuit:
     """Diagonal circuit applying ``exp(i * phi * g**p)`` to every basis state.
 
-    Emits one phase-type gate per monomial term, with the term coefficient
-    times ``phi`` folded into (-pi, pi].  ``phi`` may be a float or a
-    :class:`PhaseAngle`.
+    Emits one :class:`PhaseGate` per monomial term, on the term's qubits,
+    with the term coefficient times ``phi`` folded into (-pi, pi].
     """
-    phi = float(phi)
-    circuit = Circuit(n)
-    for term in decompose_monomial(n, p):
-        circuit.append(_term_gate(term, phi))
-    return circuit
+    return Circuit(
+        n,
+        (PhaseGate(t.qubits, scaled_phase(phi, t.coefficient)) for t in decompose_monomial(n, p)),
+    )
 
 
 def diagonal_oracle(n: int, phase_by_order: Mapping[int, float]) -> np.ndarray:
@@ -195,17 +146,13 @@ def build_qbpm_circuit(
     """
     if grid.n_qubits != n:
         raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
-    if not (wavelength > 0.0):
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if z < 0.0:
-        raise ValueError(f"propagation distance must be non-negative, got {z}")
+    check_propagation_args(wavelength, z)
     if polynomial is None:
         polynomial = DispersionPolynomial.paraxial(wavelength)
     circuit = build_qft(n, FORWARD)
     for p, phi in polynomial.phase_angles(grid, z).items():
-        for term in decompose_monomial(n, p):
-            circuit.append(_term_gate(term, phi))
-    circuit.extend(build_iqft(n, FORWARD).gates)
+        circuit.extend(build_monomial_propagator(n, p, phi))
+    circuit.extend(build_iqft(n, FORWARD))
     return circuit
 
 
@@ -224,8 +171,8 @@ def build_qbpm_circuit_2d(
     non-separable) 2D inputs propagate correctly.
     """
     total = 2 * n_per_axis
-    if total > MAX_TOTAL_QUBITS:
-        raise ValueError(f"{total} qubits exceed the register budget of {MAX_TOTAL_QUBITS}")
+    if total > MAX_QUBITS:
+        raise ValueError(f"{total} qubits exceed the register budget of {MAX_QUBITS}")
     circuit_x = build_qbpm_circuit(n_per_axis, grid_x, wavelength, z, polynomial)
     circuit_y = build_qbpm_circuit(n_per_axis, grid_y, wavelength, z, polynomial)
     circuit = Circuit(total)

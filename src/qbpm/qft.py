@@ -15,13 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import TWO_PI, Circuit, ControlledPhase, Hadamard, Swap
+from .circuit import MAX_QUBITS, TWO_PI, Circuit, Hadamard, PhaseGate, Swap
 from .classical_bpm import is_power_of_two
 
 FORWARD = -1
 BACKWARD = +1
-
-MAX_QUBITS = 24
 
 
 def _check_args(n: int, sign: int) -> None:
@@ -43,7 +41,7 @@ def build_qft(n: int, sign: int = FORWARD) -> Circuit:
         circuit.append(Hadamard(target))
         for control in range(target - 1, -1, -1):
             angle = sign * TWO_PI / 2 ** (target - control + 1)
-            circuit.append(ControlledPhase(control, target, angle))
+            circuit.append(PhaseGate((control, target), angle))
     for q in range(n // 2):
         circuit.append(Swap(q, n - 1 - q))
     return circuit

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ControlledPhase, Gate, Hadamard, MultiControlledPhase, Phase, Swap
+from .circuit import Gate, Hadamard, PhaseGate, Swap
 from .classical_bpm import is_power_of_two
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -66,7 +66,7 @@ def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
         b = view[hi_t]
         view[lo_t] = (a + b) * _INV_SQRT2
         view[hi_t] = (a - b) * _INV_SQRT2
-    elif isinstance(gate, (Phase, ControlledPhase, MultiControlledPhase)):
+    elif isinstance(gate, PhaseGate):
         view[_ones_selector(n_qubits, gate.qubits)] *= np.exp(1j * gate.phi)
     elif isinstance(gate, Swap):
         sel01: list = [slice(None)] * n_qubits

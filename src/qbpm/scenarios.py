@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical_bpm
-from .classical_bpm import Field, GridSpec, rmse
+from .classical_bpm import Field, GridSpec, rmse, wavenumber
 from .propagator import build_qbpm_circuit, build_qbpm_circuit_2d
 from .qstate import SampleCounts, StateVector
 
@@ -104,7 +104,7 @@ class GaussianParams:
 
     @property
     def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
+        return wavenumber(self.wavelength)
 
     @property
     def rayleigh_length(self) -> float:
@@ -167,22 +167,6 @@ def waist_from_field(field: Field, center: tuple[float, float] = (0.0, 0.0)) -> 
 
 
 @dataclass(frozen=True)
-class WaistEstimate:
-    """Sampled radius against the discrete reference radius."""
-
-    w_sampled: float
-    w_reference: float
-
-    def __post_init__(self) -> None:
-        if self.w_sampled < 0.0 or self.w_reference < 0.0:
-            raise ValueError("radii must be non-negative")
-
-    @property
-    def error(self) -> float:
-        return self.w_sampled - self.w_reference
-
-
-@dataclass(frozen=True)
 class ErrorStats:
     """Mean and standard error of a per-run error over repeated simulations."""
 
@@ -217,17 +201,28 @@ def error_analysis(
     if n_sim < 2:
         raise ValueError(f"n_sim must be >= 2, got {n_sim}")
     if isinstance(scenario, DoubleSlitParams):
-        per_run = _double_slit_runner(scenario)
+        at = double_slit_runner(scenario)
+
+        def run_error(counts: SampleCounts, reference) -> float:
+            return rmse(reference, counts.frequencies(reference.size))
+
     elif isinstance(scenario, GaussianParams):
-        per_run = _gaussian_runner(scenario)
+        at = gaussian_runner(scenario)
+        grids = scenario.make_grids()
+
+        def run_error(counts: SampleCounts, reference) -> float:
+            return waist_from_counts(counts, grids, scenario.center) - reference
+
     else:
         raise TypeError(f"unknown scenario type {type(scenario).__name__}")
 
     table: dict[tuple[float, int], ErrorStats] = {}
     for z in z_values:
-        run_error = per_run(float(z))
+        state, reference = at(float(z))
         for n_shots in n_shots_values:
-            errors = np.array([run_error(int(n_shots), seed + i) for i in range(n_sim)])
+            errors = np.array(
+                [run_error(state.sample(int(n_shots), seed + i), reference) for i in range(n_sim)]
+            )
             table[(float(z), int(n_shots))] = ErrorStats(
                 mu=float(np.mean(errors)),
                 sigma=_spread(errors),
@@ -237,26 +232,27 @@ def error_analysis(
     return table
 
 
-def _double_slit_runner(params: DoubleSlitParams):
+def double_slit_runner(params: DoubleSlitParams):
+    """``at(z) -> (state, reference)`` for the double slit.
+
+    ``state`` is the register after the propagation circuit for distance
+    ``z``; ``reference`` is the unit-sum intensity it is judged against:
+    the initial intensity at ``z = 0`` and the far-field pattern otherwise.
+    """
     grid = params.make_grid()
     initial = double_slit_initial(params, grid)
+    state0 = StateVector.from_amplitudes(initial.values)
 
-    def for_distance(z: float):
+    def at(z: float):
+        circuit = build_qbpm_circuit(params.n_qubits, grid, params.wavelength, z)
         if z == 0.0:
             reference = initial.intensity()
             reference = reference / reference.sum()
         else:
             reference = double_slit_analytic(params, grid, z)
-        circuit = build_qbpm_circuit(params.n_qubits, grid, params.wavelength, z)
-        state = circuit.run(StateVector.from_amplitudes(initial.values))
+        return circuit.run(state0), reference
 
-        def run_error(n_shots: int, run_seed: int) -> float:
-            sampled = state.sample(n_shots, run_seed).frequencies(state.n_states)
-            return rmse(reference, sampled)
-
-        return run_error
-
-    return for_distance
+    return at
 
 
 # Reference double-slit setup: 0.5 mm slit separation, 0.1 mm slit width,
@@ -284,21 +280,22 @@ DEFAULT_GAUSSIAN_2D = GaussianParams(
 )
 
 
-def _gaussian_runner(params: GaussianParams):
+def gaussian_runner(params: GaussianParams):
+    """``at(z) -> (state, reference)`` for the Gaussian beam.
+
+    ``state`` is the two-axis register after the propagation circuit for
+    distance ``z``; ``reference`` is the second-moment radius of the
+    classically propagated field.
+    """
     grids = params.make_grids()
     initial = gaussian_initial_2d(params, grids)
+    state0 = StateVector.from_amplitudes(initial.values)
     n = params.n_qubits_per_axis
 
-    def for_distance(z: float):
+    def at(z: float):
         reference_field = classical_bpm.propagate_2d(initial, params.wavelength, z)
         w_reference = waist_from_field(reference_field, params.center)
         circuit = build_qbpm_circuit_2d(n, grids[0], grids[1], params.wavelength, z)
-        state = circuit.run(StateVector.from_amplitudes(initial.values))
+        return circuit.run(state0), w_reference
 
-        def run_error(n_shots: int, run_seed: int) -> float:
-            counts = state.sample(n_shots, run_seed)
-            return waist_from_counts(counts, grids, params.center) - w_reference
-
-        return run_error
-
-    return for_distance
+    return at

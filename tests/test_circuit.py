@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbpm import (
     Circuit,
-    ControlledPhase,
     Hadamard,
-    MultiControlledPhase,
-    Phase,
+    PhaseGate,
     StateVector,
     Swap,
     fold_phase,
@@ -34,11 +34,11 @@ def random_circuit(n, n_gates, seed):
         if kind == 0:
             circuit.append(Hadamard(int(qubits[0])))
         elif kind == 1:
-            circuit.append(Phase(int(qubits[0]), phi))
+            circuit.append(PhaseGate((int(qubits[0]),), phi))
         elif kind == 2:
-            circuit.append(ControlledPhase(int(qubits[0]), int(qubits[1]), phi))
+            circuit.append(PhaseGate((int(qubits[0]), int(qubits[1])), phi))
         elif kind == 3:
-            circuit.append(MultiControlledPhase((int(qubits[0]), int(qubits[1])), int(qubits[2]), phi))
+            circuit.append(PhaseGate((int(qubits[0]), int(qubits[1]), int(qubits[2])), phi))
         else:
             circuit.append(Swap(int(qubits[0]), int(qubits[1])))
     return circuit
@@ -82,11 +82,11 @@ class TestPhaseFolding:
 class TestGateValidation:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            ControlledPhase(0, 0, 0.4)
+            PhaseGate((0, 0), 0.4)
         with pytest.raises(ValueError):
             Swap(2, 2)
         with pytest.raises(ValueError):
-            MultiControlledPhase((0, 1), 1, 0.2)
+            PhaseGate((0, 1, 1), 0.2)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -94,18 +94,17 @@ class TestGateValidation:
 
     def test_empty_controls_rejected(self):
         with pytest.raises(ValueError):
-            MultiControlledPhase((), 0, 0.1)
+            PhaseGate((), 0.1)
 
     def test_phase_stored_folded(self):
-        gate = Phase(0, 5 * math.pi)
+        gate = PhaseGate((0,), 5 * math.pi)
         assert -math.pi < gate.phi <= math.pi
         assert gate.phi == pytest.approx(math.pi)
-        assert MultiControlledPhase((0, 2), 1, -math.pi).phi == math.pi
+        assert PhaseGate((0, 2, 1), -math.pi).phi == math.pi
 
     def test_controls_sorted(self):
-        gate = MultiControlledPhase((3, 1), 0, 0.2)
-        assert gate.controls == (1, 3)
-        assert gate.qubits == (1, 3, 0)
+        gate = PhaseGate((3, 1, 0), 0.2)
+        assert gate.qubits == (0, 1, 3)
 
 
 class TestCircuit:
@@ -116,10 +115,10 @@ class TestCircuit:
 
     def test_append_preserves_order(self):
         circuit = Circuit(2)
-        circuit.append(Hadamard(0)).append(Phase(1, 0.5))
+        circuit.append(Hadamard(0)).append(PhaseGate((1,), 0.5))
         assert len(circuit) == 2
         assert isinstance(circuit.gates[0], Hadamard)
-        assert isinstance(circuit.gates[1], Phase)
+        assert isinstance(circuit.gates[1], PhaseGate)
 
     def test_empty_circuit_counts_are_all_zero(self):
         counts = Circuit(3).gate_count()
@@ -162,12 +161,12 @@ class TestCircuit:
             assert np.max(np.abs(out.amplitudes - expected.amplitudes)) < 1e-12
 
     def test_shifted_acts_on_upper_qubits(self):
-        inner = Circuit(2, [Hadamard(0), ControlledPhase(0, 1, 0.9)])
+        inner = Circuit(2, [Hadamard(0), PhaseGate((0, 1), 0.9)])
         shifted = inner.shifted(2, 4)
         state = random_state(4, seed=14)
         out = shifted.run(state)
         # build the same operation explicitly on qubits 2 and 3
-        direct = Circuit(4, [Hadamard(2), ControlledPhase(2, 3, 0.9)]).run(state)
+        direct = Circuit(4, [Hadamard(2), PhaseGate((2, 3), 0.9)]).run(state)
         assert np.max(np.abs(out.amplitudes - direct.amplitudes)) < 1e-14
 
 
@@ -203,11 +202,11 @@ class TestQasmExport:
         assert text == 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\n'
 
     def test_phase_full_precision(self):
-        text = Circuit(2, [Phase(1, math.pi)]).to_qasm_text()
+        text = Circuit(2, [PhaseGate((1,), math.pi)]).to_qasm_text()
         assert "p(3.141592653589793) q[1];" in text
 
     def test_controlled_phase_and_swap_forms(self):
-        text = Circuit(3, [ControlledPhase(0, 2, 0.25), Swap(1, 2)]).to_qasm_text()
+        text = Circuit(3, [PhaseGate((0, 2), 0.25), Swap(1, 2)]).to_qasm_text()
         assert "cp(0.25) q[0],q[2];" in text
         assert "swap q[1],q[2];" in text
 
@@ -217,7 +216,7 @@ class TestQasmExport:
         assert len(lines) == 3 + 6  # header + n(n+1)/2 gates
 
     def test_two_control_phase_expansion_is_exact(self):
-        gate = MultiControlledPhase((0, 1), 2, 1.234)
+        gate = PhaseGate((0, 1, 2), 1.234)
         text = Circuit(3, [gate]).to_qasm_text()
         gate_lines = text.strip().split("\n")[3:]
         assert len(gate_lines) == 5
@@ -227,6 +226,58 @@ class TestQasmExport:
         assert np.max(np.abs(matrix - expected)) < 1e-12
 
     def test_three_controls_rejected(self):
-        circuit = Circuit(4, [MultiControlledPhase((0, 1, 2), 3, 0.5)])
+        circuit = Circuit(4, [PhaseGate((0, 1, 2, 3), 0.5)])
         with pytest.raises(ValueError):
             circuit.to_qasm_text()
+
+
+@st.composite
+def phase_gates(draw, n):
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True))
+    return PhaseGate(tuple(qubits), draw(st.floats(-100.0, 100.0)))
+
+
+@st.composite
+def registers_with_gates(draw):
+    n = draw(st.integers(1, 6))
+    gates = draw(st.lists(phase_gates(n), min_size=1, max_size=8))
+    return n, gates, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPhaseGateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(registers_with_gates())
+    def test_apply_equals_dense_diagonal(self, case):
+        n, gates, seed = case
+        state = random_state(n, seed)
+        indices = np.arange(2**n)
+        for gate in gates:
+            fires = np.all([(indices >> q) & 1 for q in gate.qubits], axis=0)
+            expected = np.where(fires, np.exp(1j * gate.phi), 1.0) * state.amplitudes
+            state = state.apply(gate)
+            assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(registers_with_gates(), st.data())
+    def test_inverse_round_trip(self, case, data):
+        n, gates, seed = case
+        # interleave Hadamards so the phases do not all commute
+        size = len(gates)
+        targets = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+        circuit = Circuit(n)
+        for gate, target in zip(gates, targets):
+            circuit.append(gate).append(Hadamard(target))
+        state = random_state(n, seed)
+        back = circuit.inverse().run(circuit.run(state))
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(registers_with_gates())
+    def test_gate_count_labels_by_arity(self, case):
+        n, gates, _ = case
+        counts = Circuit(n, gates).gate_count()
+        labels = {1: "Phase", 2: "ControlledPhase"}
+        expected = {kind: 0 for kind in counts}
+        for gate in gates:
+            expected[labels.get(len(gate.qubits), "MultiControlledPhase")] += 1
+        assert counts == expected

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -255,3 +256,111 @@ class TestExportQasmCommand:
              "--out", str(tmp_path / "run")]
         )
         assert rc == 2
+
+
+class TestInputContract:
+    """Bad inputs exit 2 with a message; they never raise out of ``main``."""
+
+    @pytest.mark.parametrize("z", ["inf", "nan"])
+    def test_double_slit_non_finite_z(self, tmp_path, capsys, z):
+        rc = main(["double-slit", *FAST_SLIT[:-2], "--z", z, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "propagation distance must be non-negative and finite" in capsys.readouterr().err
+
+    def test_gaussian_infinite_wavelength(self, tmp_path, capsys):
+        rc = main(
+            ["gaussian-2d", *TestGaussianCommand.ARGS, "--wavelength", "inf",
+             "--out", str(tmp_path / "run")]
+        )
+        assert rc == 2
+        assert "wavelength must be positive and finite" in capsys.readouterr().err
+
+    def test_propagate_infinite_dx(self, tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((8, 2)), delimiter=",")
+        out = tmp_path / "run"
+        rc = main(["propagate", "--input", str(field), "--dx", "inf", "--out", str(out)])
+        assert rc == 2
+        assert "dx must be positive and finite" in capsys.readouterr().err
+        assert not (out / "field_quantum.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("double-slit", {"z": 0.1}, "'z'"),
+            ("propagate", {"verify": "no"}, "'verify'"),
+            ("gate-count", {"qubits": [15]}, "'qubits'"),
+            ("error-analysis", {"shots": [1000, "many"]}, "'shots'"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, payload, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"config key {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_numbers_are_interchangeable(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"qubits": 9.0, "z": [0, 0.05], "shots": 500}))
+        out = tmp_path / "run"
+        assert main(["double-slit", "--config", str(config), "--domain-length", "0.0064",
+                     "--out", str(out)]) == 0
+        assert read_json(out / "config.json")["z"] == [0, 0.05]
+
+    def test_config_none_default_accepts_number_or_null(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"qubits": None, "domain_length": 0.0064, "z": [0.0],
+                                      "shots": [200], "sims": 2}))
+        out = tmp_path / "run"
+        assert main(["error-analysis", "--config", str(config), "--out", str(out)]) == 0
+
+    def test_out_path_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        assert main(["gate-count", "--out", str(blocker / "sub")]) == 2
+        assert "afile" in capsys.readouterr().err
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedBytes:
+    """Deterministic CLI outputs, pinned by digest.
+
+    Only Python-float and Fraction arithmetic feeds these files (no RNG,
+    no FFT), so the digests hold on every platform.  A change here means
+    the exported circuit or the gate-count report changed.
+    """
+
+    QASM = {
+        1: "8588e562b2fe430d76b923bfec61b8c8933d53949997b7d625c59d1329341279",
+        2: "2fda5733d882371a592112cf0224e56c8e9f3438e66713369fba641dc07b37d8",
+        3: "42b89306d89361df97ffb60c40cd3ce2182324bf7488352a3832832ae01f21c1",
+    }
+    GATE_COUNT = {
+        "15": (
+            "f78c3115dd624a9198398e79e97775247f996a67ad4eca013d259bc91f9aa12f",
+            "ce42a28b35566b5bc06c28ef8cd02102f72c7159fc08f2ab0d2c79626cbfbe50",
+        ),
+        "9 --order 3": (
+            "1a6f1bfaff13a3ae0041d631b0da4a69f07ad445ed3051f64ab23567f92b3382",
+            "77269987998687c11c43c9d46e139956a6eb85cb21d6b12124c791ea5ffe182e",
+        ),
+    }
+
+    @pytest.mark.parametrize("order", sorted(QASM))
+    def test_export_qasm(self, tmp_path, order):
+        out = tmp_path / "run"
+        assert main(["export-qasm", "--order", str(order), "--out", str(out)]) == 0
+        assert _sha256((out / "qbpm_circuit.qasm").read_bytes()) == self.QASM[order]
+
+    @pytest.mark.parametrize("args", sorted(GATE_COUNT))
+    def test_gate_count(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(["gate-count", "--qubits", *args.split(), "--out", str(out)]) == 0
+        stdout_digest, json_digest = self.GATE_COUNT[args]
+        assert _sha256(capsys.readouterr().out.encode()) == stdout_digest
+        assert _sha256((out / "gate_count.json").read_bytes()) == json_digest

@@ -5,15 +5,12 @@ import pytest
 
 from qbpm import (
     BACKWARD,
-    ControlledPhase,
     DispersionPolynomial,
     Field,
     FORWARD,
     GridSpec,
     MonomialTerm,
-    MultiControlledPhase,
-    Phase,
-    PhaseAngle,
+    PhaseGate,
     StateVector,
     build_monomial_propagator,
     build_qbpm_circuit,
@@ -21,7 +18,6 @@ from qbpm import (
     decompose_monomial,
     dft_oracle,
     diagonal_oracle,
-    paraxial_phase,
     propagate_1d,
     propagate_2d,
     signed_index_weights,
@@ -103,8 +99,9 @@ class TestDecomposeMonomial:
 class TestBuildMonomialPropagator:
     def test_gate_kinds_follow_subset_size(self):
         circuit = build_monomial_propagator(4, 3, 0.2)
-        for gate in circuit:
-            assert isinstance(gate, (Phase, ControlledPhase, MultiControlledPhase))
+        for gate, term in zip(circuit, decompose_monomial(4, 3)):
+            assert isinstance(gate, PhaseGate)
+            assert gate.qubits == term.qubits
         counts = circuit.gate_count()
         assert counts["Phase"] == 4
         assert counts["ControlledPhase"] == 6
@@ -143,13 +140,6 @@ class TestBuildMonomialPropagator:
             off_diagonal[index] = 0.0
             assert off_diagonal.max() < 1e-14
 
-    def test_accepts_phase_angle_wrapper(self):
-        grid = GridSpec(64, 1e-5)
-        angle = PhaseAngle.from_physical(grid, 532e-9, 0.1)
-        circuit = build_monomial_propagator(6, 2, angle)
-        direct = build_monomial_propagator(6, 2, angle.phi)
-        assert circuit.gates == direct.gates
-
 
 class TestDiagonalOracle:
     def test_hand_evaluated_two_qubit_case(self):
@@ -166,28 +156,6 @@ class TestDiagonalOracle:
             diagonal_oracle(15, {2: 0.1})
 
 
-class TestPhaseAngle:
-    def test_physical_formula(self):
-        grid = GridSpec(2**8, 1.3e-5)
-        wavelength, z = 6.2e-7, 0.21
-        k = 2 * math.pi / wavelength
-        expected = -2 * math.pi**2 * z / (grid.n_points**2 * grid.dx**2 * k)
-        angle = PhaseAngle.from_physical(grid, wavelength, z)
-        assert angle.phi == pytest.approx(expected, rel=1e-15)
-        assert float(angle) == angle.phi
-        assert paraxial_phase(grid, wavelength, z) == angle.phi
-
-    def test_paraxial_phase_equals_quadratic_transfer_exponent(self):
-        grid = GridSpec(2**6, 2e-5)
-        wavelength, z = 5e-7, 0.05
-        k = 2 * math.pi / wavelength
-        # phase at frequency index g is g**2 * phi == -alpha_g**2 z / (2 k)
-        phi = paraxial_phase(grid, wavelength, z)
-        for g in (1, 7, -13):
-            alpha = g * grid.d_alpha
-            assert g**2 * phi == pytest.approx(-(alpha**2) * z / (2 * k), rel=1e-12)
-
-
 class TestDispersionPolynomial:
     def test_paraxial_orders(self):
         poly = DispersionPolynomial.paraxial(532e-9)
@@ -196,10 +164,25 @@ class TestDispersionPolynomial:
         assert poly.orders[2] == pytest.approx(-1 / (2 * k))
 
     def test_phase_angles_reduce_to_paraxial_phase(self):
-        grid = GridSpec(128, 3e-6)
-        poly = DispersionPolynomial.paraxial(532e-9)
-        angles = poly.phase_angles(grid, 0.4)
-        assert angles[2] == pytest.approx(paraxial_phase(grid, 532e-9, 0.4), rel=1e-12)
+        # quadratic phase per unit g**2 is -2 pi**2 z / (N**2 dx**2 k)
+        for grid, wavelength, z in (
+            (GridSpec(128, 3e-6), 532e-9, 0.4),
+            (GridSpec(2**8, 1.3e-5), 6.2e-7, 0.21),
+        ):
+            k = 2 * math.pi / wavelength
+            expected = -2 * math.pi**2 * z / (grid.n_points**2 * grid.dx**2 * k)
+            angles = DispersionPolynomial.paraxial(wavelength).phase_angles(grid, z)
+            assert angles[2] == pytest.approx(expected, rel=1e-12)
+
+    def test_paraxial_phase_equals_quadratic_transfer_exponent(self):
+        grid = GridSpec(2**6, 2e-5)
+        wavelength, z = 5e-7, 0.05
+        k = 2 * math.pi / wavelength
+        # phase at frequency index g is g**2 * phi == -alpha_g**2 z / (2 k)
+        phi = DispersionPolynomial.paraxial(wavelength).phase_angles(grid, z)[2]
+        for g in (1, 7, -13):
+            alpha = g * grid.d_alpha
+            assert g**2 * phi == pytest.approx(-(alpha**2) * z / (2 * k), rel=1e-12)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from qbpm import (
-    ControlledPhase,
     DoubleSlitParams,
     Hadamard,
-    MultiControlledPhase,
-    Phase,
+    PhaseGate,
     SampleCounts,
     StateVector,
     Swap,
@@ -63,18 +61,18 @@ class TestGateAction:
 
     def test_phase_pi_is_z(self):
         plus = StateVector.from_amplitudes([1, 1])
-        out = plus.apply(Phase(0, np.pi))
+        out = plus.apply(PhaseGate((0,), np.pi))
         assert np.allclose(out.amplitudes, [INV_SQRT2, -INV_SQRT2])
 
     def test_controlled_phase_condition(self):
         phi = 0.731
-        on = StateVector.basis_state(2, 0b11).apply(ControlledPhase(1, 0, phi))
+        on = StateVector.basis_state(2, 0b11).apply(PhaseGate((1, 0), phi))
         assert on.amplitudes[0b11] == pytest.approx(np.exp(1j * phi))
-        off = StateVector.basis_state(2, 0b01).apply(ControlledPhase(1, 0, phi))
+        off = StateVector.basis_state(2, 0b01).apply(PhaseGate((1, 0), phi))
         assert off.amplitudes[0b01] == 1.0
 
     def test_multi_controlled_phase_condition(self):
-        gate = MultiControlledPhase((0, 1), 2, 0.5)
+        gate = PhaseGate((0, 1, 2), 0.5)
         fires = StateVector.basis_state(3, 0b111).apply(gate)
         assert fires.amplitudes[0b111] == pytest.approx(np.exp(0.5j))
         idle = StateVector.basis_state(3, 0b101).apply(gate)
@@ -105,16 +103,16 @@ class TestGateAction:
             if kind == 0:
                 gates.append(Hadamard(int(q[0])))
             elif kind == 1:
-                gates.append(Phase(int(q[0]), phi))
+                gates.append(PhaseGate((int(q[0]),), phi))
             elif kind == 2:
-                gates.append(ControlledPhase(int(q[0]), int(q[1]), phi))
+                gates.append(PhaseGate((int(q[0]), int(q[1])), phi))
             else:
                 gates.append(Swap(int(q[0]), int(q[1])))
         out = state.apply_sequence(gates)
         assert abs(out.norm() - 1.0) < 1e-10
 
     def test_diagonal_gates_do_not_move_population(self):
-        gates = [Phase(0, 0.3), ControlledPhase(1, 3, -2.2), MultiControlledPhase((0, 2), 3, 1.1)]
+        gates = [PhaseGate((0,), 0.3), PhaseGate((1, 3), -2.2), PhaseGate((0, 2, 3), 1.1)]
         for index in (0b0000, 0b1011, 0b1111):
             out = StateVector.basis_state(4, index).apply_sequence(gates)
             leaked = np.abs(out.amplitudes).copy()

@@ -10,13 +10,15 @@ from qbpm import (
     GridSpec,
     SampleCounts,
     StateVector,
-    WaistEstimate,
     build_qbpm_circuit_2d,
     double_slit_analytic,
     double_slit_initial,
+    double_slit_runner,
     error_analysis,
     gaussian_initial_2d,
+    gaussian_runner,
     predicted_fringe_positions,
+    propagate_1d,
     propagate_2d,
     waist_from_counts,
     waist_from_field,
@@ -188,11 +190,33 @@ class TestWaistEstimators:
         ]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
-    def test_waist_estimate_error_field(self):
-        estimate = WaistEstimate(w_sampled=0.07, w_reference=0.05)
-        assert estimate.error == pytest.approx(0.02)
-        with pytest.raises(ValueError):
-            WaistEstimate(-0.1, 0.05)
+
+class TestRunners:
+    def test_double_slit_zero_distance_reference_is_initial_intensity(self):
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
+        initial = double_slit_initial(params, params.make_grid())
+        state, reference = double_slit_runner(params)(0.0)
+        expected = initial.intensity() / initial.intensity().sum()
+        assert np.array_equal(reference, expected)
+        assert np.max(np.abs(state.amplitudes - initial.values)) < 1e-10
+
+    def test_double_slit_state_matches_classical_path(self):
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
+        grid = params.make_grid()
+        initial = double_slit_initial(params, grid)
+        state, reference = double_slit_runner(params)(0.05)
+        assert np.array_equal(reference, double_slit_analytic(params, grid, 0.05))
+        classical = propagate_1d(initial, params.wavelength, 0.05)
+        assert np.max(np.abs(state.amplitudes - classical.values)) < 1e-9
+
+    def test_gaussian_reference_is_classical_field_waist(self):
+        params = GaussianParams(0.05, 532e-9, 4, 0.2)
+        initial = gaussian_initial_2d(params, params.make_grids())
+        z = params.rayleigh_length
+        state, w_reference = gaussian_runner(params)(z)
+        classical = propagate_2d(initial, params.wavelength, z)
+        assert w_reference == waist_from_field(classical)
+        assert np.max(np.abs(state.amplitudes - classical.values.ravel())) < 1e-9
 
 
 class TestErrorAnalysis:
