@@ -49,11 +49,24 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# rows per tolist() block: a whole-array tolist() would hold every value as
+# a Python float at once
+_CSV_BLOCK = 1024
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header``: a 2-D float array, or tuples of
+    str, int and float values."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            # repr(float) is what _fmt writes for a float
+            for start in range(0, len(rows), _CSV_BLOCK):
+                for row in rows[start : start + _CSV_BLOCK].tolist():
+                    fh.write(",".join(map(repr, row)) + "\n")
+        else:
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -65,7 +78,7 @@ def _write_json(path: Path, payload) -> None:
 def _write_grid(path_stem: Path, grid_values: np.ndarray, fmt: str) -> Path:
     if fmt == "json":
         path = path_stem.with_suffix(".json")
-        _write_json(path, [[float(v) for v in row] for row in grid_values])
+        _write_json(path, grid_values.tolist())
     else:
         path = path_stem.with_suffix(".csv")
         _write_csv(path, [f"c{i}" for i in range(grid_values.shape[1])], grid_values)
@@ -148,6 +161,10 @@ def _json_kind(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
+# config keys that name a file or directory
+_PATH_KEYS = ("out", "input")
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS[command])
     if getattr(args, "config", None):
@@ -165,8 +182,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in from_file.items():
             default = config[key]
-            # a None default is an optional string or number
-            allowed = ("string", "number", "null") if default is None else (_json_kind(default),)
+            if default is None:
+                # an optional path is a string; other optional values may be numbers
+                allowed = ("string", "null") if key in _PATH_KEYS else ("string", "number", "null")
+            else:
+                allowed = (_json_kind(default),)
             if _json_kind(value) not in allowed:
                 expected = " or ".join(allowed)
                 raise ValueError(f"config key {key!r} must be a {expected}, got {value!r}")
@@ -224,10 +244,8 @@ def cmd_double_slit(config: dict) -> int:
         z = float(z)
         state, analytic = at(z)
         exact = state.probabilities()
-        sampled = state.sample(int(config["shots"]), int(config["seed"])).frequencies(
-            state.n_states
-        )
-        rows = zip(x_sorted, sampled[order], exact[order], analytic[order])
+        sampled = state.sample(int(config["shots"]), int(config["seed"])).frequencies()
+        rows = np.column_stack((x_sorted, sampled[order], exact[order], analytic[order]))
         _write_csv(
             out / f"pattern_z{index:02d}.csv",
             ["x", "p_sampled", "p_exact", "i_analytic"],
@@ -262,7 +280,7 @@ def cmd_gaussian_2d(config: dict) -> int:
         z = zr * z0
         state, w_ref = at(z)
         counts = state.sample(int(config["shots"]), int(config["seed"]))
-        sampled = counts.frequencies(state.n_states).reshape(shape)
+        sampled = counts.frequencies().reshape(shape)
         _write_grid(out / f"intensity_zr{index:02d}_sampled", sampled, config["format"])
         _write_grid(
             out / f"intensity_zr{index:02d}_exact",
@@ -328,7 +346,8 @@ def cmd_propagate(config: dict) -> int:
     out = _out_dir(config)
     _write_config(out, "propagate", config)
     for name, data in (("quantum", quantum.amplitudes), ("classical", classical.values)):
-        _write_csv(out / f"field_{name}.csv", ["real", "imaginary"], zip(data.real, data.imag))
+        columns = np.column_stack((data.real, data.imag))
+        _write_csv(out / f"field_{name}.csv", ["real", "imaginary"], columns)
     _write_json(
         out / "report.json",
         {

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,33 +12,30 @@ from .classical_bpm import is_power_of_two
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleCounts:
     """Histogram of ``total_shots`` basis-state measurements.
 
-    ``counts`` maps basis index to the number of shots that collapsed
-    there; indices that were never drawn are omitted.
+    ``counts[i]`` is the number of shots that collapsed onto basis index
+    ``i``: a dense 1-D integer array with one entry per basis state.
     """
 
-    counts: dict[int, int]
+    counts: np.ndarray
     total_shots: int
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts.values()):
+        counts = self.counts
+        integer = isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"
+        if not integer or counts.ndim != 1:
+            raise ValueError("counts must be a 1-D integer array")
+        if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if sum(self.counts.values()) != self.total_shots:
+        if int(counts.sum()) != self.total_shots:
             raise ValueError("counts must sum to total_shots")
 
-    def to_array(self, n_states: int) -> np.ndarray:
-        """Dense count vector of length ``n_states``."""
-        arr = np.zeros(n_states, dtype=np.int64)
-        for index, count in self.counts.items():
-            arr[index] = count
-        return arr
-
-    def frequencies(self, n_states: int) -> np.ndarray:
+    def frequencies(self) -> np.ndarray:
         """Empirical probability of each basis index."""
-        return self.to_array(n_states) / float(self.total_shots)
+        return self.counts / float(self.total_shots)
 
 
 def _axis(n_qubits: int, qubit: int) -> int:
@@ -136,13 +134,15 @@ class StateVector:
             _apply_inplace(amplitudes, self.n_qubits, gate)
         return StateVector(self.n_qubits, amplitudes)
 
+    @cached_property
+    def _sampling_distribution(self) -> np.ndarray:
+        # normalized once per state; every draw from it reuses the same p
+        p = self.probabilities()
+        return p / p.sum()
+
     def sample(self, n_shots: int, seed: int) -> SampleCounts:
         """Multinomial draw of ``n_shots`` basis indices; deterministic per seed."""
         if n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-        p = self.probabilities()
-        p = p / p.sum()
-        draws = np.random.default_rng(seed).multinomial(n_shots, p)
-        nonzero = np.flatnonzero(draws)
-        counts = {int(i): int(draws[i]) for i in nonzero}
-        return SampleCounts(counts, n_shots)
+        draws = np.random.default_rng(seed).multinomial(n_shots, self._sampling_distribution)
+        return SampleCounts(draws, n_shots)

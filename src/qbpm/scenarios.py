@@ -152,8 +152,7 @@ def waist_from_counts(
     ``P_ij`` the empirical collapse frequency at grid cell (i, j).
     """
     grid_x, grid_y = grids
-    n_states = grid_x.n_points * grid_y.n_points
-    weights = counts.frequencies(n_states).reshape(grid_y.n_points, grid_x.n_points)
+    weights = counts.frequencies().reshape(grid_y.n_points, grid_x.n_points)
     return float(np.sqrt(np.sum(_radius_squared(grids, center) * weights)))
 
 
@@ -204,7 +203,7 @@ def error_analysis(
         at = double_slit_runner(scenario)
 
         def run_error(counts: SampleCounts, reference) -> float:
-            return rmse(reference, counts.frequencies(reference.size))
+            return rmse(reference, counts.frequencies())
 
     elif isinstance(scenario, GaussianParams):
         at = gaussian_runner(scenario)

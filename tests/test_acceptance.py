@@ -183,7 +183,7 @@ def test_criterion_6_double_slit_reproduction():
     worst_cells = 0.0
     for z in distances:
         state = build_qbpm_circuit(params.n_qubits, grid, params.wavelength, z).run(state0)
-        sampled = state.sample(n_shots, seed=20_000).frequencies(state.n_states)
+        sampled = state.sample(n_shots, seed=20_000).frequencies()
         analytic = double_slit_analytic(params, grid, z)
         value = rmse(analytic, sampled)
         worst_rmse = max(worst_rmse, value)

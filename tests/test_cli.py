@@ -291,6 +291,8 @@ class TestInputContract:
             ("propagate", {"verify": "no"}, "'verify'"),
             ("gate-count", {"qubits": [15]}, "'qubits'"),
             ("error-analysis", {"shots": [1000, "many"]}, "'shots'"),
+            ("gate-count", {"out": 7}, "'out'"),
+            ("propagate", {"input": 5}, "'input'"),
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, payload, key):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbpm import (
     DoubleSlitParams,
@@ -137,23 +139,38 @@ class TestProbabilities:
 class TestSampling:
     def test_deterministic_state_concentrates(self):
         counts = StateVector.basis_state(3, 5).sample(100, seed=0)
-        assert counts.counts == {5: 100}
+        expected = np.zeros(8, dtype=np.int64)
+        expected[5] = 100
+        assert np.array_equal(counts.counts, expected)
         assert counts.total_shots == 100
 
     def test_same_seed_reproduces_counts(self):
         state = random_state(5, seed=24)
         a = state.sample(5000, seed=42)
         b = state.sample(5000, seed=42)
-        assert a.counts == b.counts
+        assert np.array_equal(a.counts, b.counts)
 
     def test_different_seeds_differ(self):
         state = random_state(5, seed=24)
-        assert state.sample(5000, seed=1).counts != state.sample(5000, seed=2).counts
+        assert not np.array_equal(
+            state.sample(5000, seed=1).counts, state.sample(5000, seed=2).counts
+        )
+
+    def test_counts_are_the_multinomial_stream(self):
+        # the draw is numpy's multinomial over the normalized probabilities,
+        # bit for bit: sampled outputs depend on this stream
+        state = random_state(6, seed=26)
+        p = state.probabilities()
+        expected = np.random.default_rng(31).multinomial(10_000, p / p.sum())
+        counts = state.sample(10_000, seed=31).counts
+        assert counts.dtype == np.int64
+        assert counts.shape == (2**6,)
+        assert np.array_equal(counts, expected)
 
     def test_uniform_frequencies_converge(self):
         n_shots = 400_000
         plus = StateVector.from_amplitudes([1, 1])
-        freq = plus.sample(n_shots, seed=7).frequencies(2)
+        freq = plus.sample(n_shots, seed=7).frequencies()
         bound = 5 * np.sqrt(0.25 / n_shots)
         assert np.all(np.abs(freq - 0.5) < bound)
 
@@ -161,7 +178,7 @@ class TestSampling:
         state = random_state(4, seed=25)
         p = state.probabilities()
         n_shots = 1_000_000
-        freq = state.sample(n_shots, seed=8).frequencies(16)
+        freq = state.sample(n_shots, seed=8).frequencies()
         bound = 5 * np.sqrt(p * (1 - p) / n_shots)
         assert np.all(np.abs(freq - p) <= np.maximum(bound, 1e-15))
 
@@ -169,17 +186,45 @@ class TestSampling:
         with pytest.raises(ValueError):
             StateVector.basis_state(1).sample(0, seed=0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        amplitude_seed=st.integers(0, 2**32 - 1),
+        n_shots=st.integers(1, 10_000),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_draw_properties(self, n, amplitude_seed, n_shots, seed):
+        state = random_state(n, amplitude_seed)
+        counts = state.sample(n_shots, seed)
+        assert counts.counts.shape == (2**n,)
+        assert int(counts.counts.sum()) == n_shots
+        assert abs(counts.frequencies().sum() - 1.0) <= 1e-12
+        assert np.array_equal(state.sample(n_shots, seed).counts, counts.counts)
+
 
 class TestSampleCounts:
     def test_total_must_match(self):
-        with pytest.raises(ValueError):
-            SampleCounts({0: 3, 1: 4}, 8)
+        with pytest.raises(ValueError, match="sum to total_shots"):
+            SampleCounts(np.array([3, 4]), 8)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            SampleCounts({0: -1, 1: 1}, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            SampleCounts(np.array([-1, 1]), 0)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.array([[1, 2], [3, 2]]),
+            np.array([3.0, 5.0]),
+            [3, 5],
+        ],
+        ids=["2-D", "float", "list"],
+    )
+    def test_non_integer_vector_rejected(self, counts):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            SampleCounts(counts, 8)
 
     def test_array_round_trip(self):
-        counts = SampleCounts({1: 3, 2: 5}, 8)
-        assert counts.to_array(4).tolist() == [0, 3, 5, 0]
-        assert counts.frequencies(4).tolist() == [0.0, 0.375, 0.625, 0.0]
+        counts = SampleCounts(np.array([0, 3, 5, 0]), 8)
+        assert counts.counts.tolist() == [0, 3, 5, 0]
+        assert counts.frequencies().tolist() == [0.0, 0.375, 0.625, 0.0]

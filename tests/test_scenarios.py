@@ -20,6 +20,7 @@ from qbpm import (
     predicted_fringe_positions,
     propagate_1d,
     propagate_2d,
+    rmse,
     waist_from_counts,
     waist_from_field,
 )
@@ -142,7 +143,9 @@ class TestWaistEstimators:
     def test_all_shots_at_center_give_zero(self):
         params = DEFAULT_GAUSSIAN_2D
         grids = params.make_grids()
-        counts = SampleCounts({0: 500}, 500)  # basis index 0 is the origin
+        histogram = np.zeros(grids[0].n_points * grids[1].n_points, dtype=np.int64)
+        histogram[0] = 500  # basis index 0 is the origin
+        counts = SampleCounts(histogram, 500)
         assert waist_from_counts(counts, grids) == 0.0
 
     def test_delta_field_gives_zero(self):
@@ -163,9 +166,9 @@ class TestWaistEstimators:
 
         fine = np.linspace(-0.2, 0.2, 4001)
         intensity_1d = np.exp(-2 * fine**2 / params.waist**2)
-        second_moment_1d = np.trapezoid(fine**2 * intensity_1d, fine) / np.trapezoid(
-            intensity_1d, fine
-        )
+        # numpy < 2.0 has the same rule only as np.trapz
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        second_moment_1d = trapezoid(fine**2 * intensity_1d, fine) / trapezoid(intensity_1d, fine)
         quadrature = np.sqrt(2 * second_moment_1d)  # both axes contribute
         assert quadrature == pytest.approx(params.waist / np.sqrt(2), rel=1e-9)
 
@@ -238,6 +241,25 @@ class TestErrorAnalysis:
         assert stats.mu > 0 and stats.sigma >= 0
         again = error_analysis(params, [0.0, 0.05], [200, 400], n_sim=5, seed=9)
         assert again == table
+
+    def test_run_seeds_follow_seed_plus_run_index(self):
+        # recompute one table entry from the documented schedule: run i draws
+        # with default_rng(seed + i) from the normalized probabilities
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
+        z, n_shots, n_sim, seed = 0.05, 3000, 6, 41
+        table = error_analysis(params, [0.0, z], [500, n_shots], n_sim=n_sim, seed=seed)
+        state, reference = double_slit_runner(params)(z)
+        p = state.probabilities()
+        p = p / p.sum()
+        errors = np.array(
+            [
+                rmse(reference, np.random.default_rng(seed + i).multinomial(n_shots, p) / n_shots)
+                for i in range(n_sim)
+            ]
+        )
+        stats = table[(z, n_shots)]
+        assert stats.mu == float(np.mean(errors))
+        assert stats.sigma == np.sqrt(max(np.mean(errors**2) - np.mean(errors) ** 2, 0.0))
 
     def test_zero_distance_error_is_pure_shot_noise(self):
         params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 11, 0.0064)
