@@ -1,11 +1,12 @@
 """Command-line front end: runs the showcase experiments and writes
 plot-ready CSV/JSON data files.
 
-Every command resolves its configuration from built-in defaults, then an
-optional JSON config file (``--config``), then explicit flags, and writes
-the fully resolved configuration next to its data files so a run can be
-reproduced exactly.  Identical configuration and seed produce byte-identical
-output.
+Every command resolves its configuration from built-in defaults
+(``DEFAULTS``, which also defines each command's flags), then an optional
+JSON config file (``--config``), then explicit flags, and writes the fully
+resolved configuration as ``config.json`` next to its data files; passing
+that file back through ``--config`` reproduces the run exactly.  Identical
+configuration and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numeric
 verification failure (``propagate --verify``).
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +78,12 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_grid(path_stem: Path, grid_values: np.ndarray, fmt: str) -> Path:
+def _write_grid(path_stem: Path, grid_values: np.ndarray, fmt: str) -> None:
     if fmt == "json":
-        path = path_stem.with_suffix(".json")
-        _write_json(path, grid_values.tolist())
+        _write_json(path_stem.with_suffix(".json"), grid_values.tolist())
     else:
-        path = path_stem.with_suffix(".csv")
-        _write_csv(path, [f"c{i}" for i in range(grid_values.shape[1])], grid_values)
-    return path
+        header = [f"c{i}" for i in range(grid_values.shape[1])]
+        _write_csv(path_stem.with_suffix(".csv"), header, grid_values)
 
 
 DEFAULTS: dict[str, dict] = {
@@ -96,7 +97,6 @@ DEFAULTS: dict[str, dict] = {
         "domain_length": DEFAULT_DOUBLE_SLIT.domain_length,
         "seed": 1234,
         "out": "qbpm-double-slit",
-        "format": "csv",
     },
     "gaussian-2d": {
         "qubits": DEFAULT_GAUSSIAN_2D.n_qubits_per_axis,
@@ -119,7 +119,6 @@ DEFAULTS: dict[str, dict] = {
         "verify": False,
         "tolerance": 1e-9,
         "out": "qbpm-propagate",
-        "format": "csv",
     },
     "error-analysis": {
         "scenario": "double-slit",
@@ -131,7 +130,6 @@ DEFAULTS: dict[str, dict] = {
         "sims": 100,
         "seed": 1234,
         "out": "qbpm-error-analysis",
-        "format": "csv",
     },
     "gate-count": {
         "qubits": 15,
@@ -149,6 +147,37 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+# config keys that name a file or directory; with a None default they take a
+# string, where any other None default takes a number
+_PATH_KEYS = ("out", "input")
+
+# config keys with a fixed set of values
+_CHOICES = {"format": ("csv", "json"), "scenario": ("double-slit", "gaussian-2d")}
+
+_HELP = {
+    "qubits": "register size (per axis for gaussian-2d)",
+    "shots": "measurement shots",
+    "z": "propagation distance in meters",
+    "zr": "propagation distance in Rayleigh lengths",
+    "wavelength": "wavelength in meters",
+    "slit_separation": "slit center-to-center distance in meters",
+    "slit_width": "slit width in meters",
+    "domain_length": "width of the computational window in meters",
+    "waist": "beam waist in meters",
+    "dx": "grid spacing in meters",
+    "sims": "repetitions for the sampling-error sweep",
+    "sweep_shots": "shot counts for the sampling-error sweep",
+    "seed": "random seed for sampling",
+    "input": "CSV field file, columns real,imaginary",
+    "verify": "exit 3 if the quantum and classical paths deviate",
+    "tolerance": "verification threshold",
+    "scenario": "experiment to repeat",
+    "order": "polynomial order of the transfer phase",
+    "out": "output directory",
+    "format": "2D grid output format",
+}
+
+
 def _json_kind(value) -> str:
     if isinstance(value, bool):
         return "boolean"
@@ -161,13 +190,9 @@ def _json_kind(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
-# config keys that name a file or directory
-_PATH_KEYS = ("out", "input")
-
-
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS[command])
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 from_file = json.load(fh)
@@ -177,59 +202,61 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(from_file, dict):
             raise ValueError("config file must hold a JSON object")
+        # a written config.json also records its command and version
+        from_file.pop("version", None)
+        written_for = from_file.pop("command", command)
+        if written_for != command:
+            raise ValueError(f"config key 'command' must be {command!r}, got {written_for!r}")
         unknown = set(from_file) - set(config)
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in from_file.items():
             default = config[key]
             if default is None:
-                # an optional path is a string; other optional values may be numbers
-                allowed = ("string", "null") if key in _PATH_KEYS else ("string", "number", "null")
+                allowed = ("string" if key in _PATH_KEYS else "number", "null")
             else:
                 allowed = (_json_kind(default),)
             if _json_kind(value) not in allowed:
                 expected = " or ".join(allowed)
                 raise ValueError(f"config key {key!r} must be a {expected}, got {value!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(
+                    f"config key {key!r} must be one of {list(_CHOICES[key])}, got {value!r}"
+                )
         config.update(from_file)
-    for key in config:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            config[key] = value
+    # the parser sets only the flags that were given
+    config.update((key, value) for key, value in vars(args).items() if key in config)
     return config
 
 
-def _qubits(config: dict, limit: int = MAX_QUBITS, what: str = "qubits") -> int:
-    n = int(config["qubits"])
-    if not 1 <= n <= limit:
-        raise ValueError(f"{what} must be in 1..{limit}, got {n}")
-    return n
+def _qubits(n, limit: int = MAX_QUBITS, what: str = "qubits") -> int:
+    if not 1 <= n <= limit or not float(n).is_integer():
+        raise ValueError(f"{what} must be an integer in 1..{limit}, got {n}")
+    return int(n)
 
 
 def _check_positive(config: dict, keys: tuple[str, ...]) -> None:
     for key in keys:
-        if not (float(config[key]) > 0.0):
-            raise ValueError(f"{key} must be positive, got {config[key]}")
+        if not 0.0 < float(config[key]) < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {config[key]}")
 
 
-def _out_dir(config: dict) -> Path:
+def _out_dir(command: str, config: dict) -> Path:
+    """Create the output directory and write ``config.json`` into it."""
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", {"command": command, "version": __version__, **config})
     return out
 
 
-def _write_config(out: Path, command: str, config: dict) -> None:
-    payload = {"command": command, "version": __version__}
-    payload.update(config)
-    _write_json(out / "config.json", payload)
-
-
 def cmd_double_slit(config: dict) -> int:
+    """1D double-slit interference experiment."""
     _check_positive(config, ("wavelength", "slit_separation", "slit_width", "domain_length"))
     params = DoubleSlitParams(
         slit_separation=float(config["slit_separation"]),
         slit_width=float(config["slit_width"]),
         wavelength=float(config["wavelength"]),
-        n_qubits=_qubits(config),
+        n_qubits=_qubits(config["qubits"]),
         domain_length=float(config["domain_length"]),
     )
     at = double_slit_runner(params)
@@ -237,8 +264,7 @@ def cmd_double_slit(config: dict) -> int:
     order = np.argsort(grid.coordinates(), kind="stable")
     x_sorted = grid.coordinates()[order]
 
-    out = _out_dir(config)
-    _write_config(out, "double-slit", config)
+    out = _out_dir("double-slit", config)
     rmse_rows = []
     for index, z in enumerate(config["z"]):
         z = float(z)
@@ -260,11 +286,12 @@ def cmd_double_slit(config: dict) -> int:
 
 
 def cmd_gaussian_2d(config: dict) -> int:
+    """2D Gaussian beam broadening experiment."""
     _check_positive(config, ("wavelength", "waist", "domain_length"))
     params = GaussianParams(
         waist=float(config["waist"]),
         wavelength=float(config["wavelength"]),
-        n_qubits_per_axis=_qubits(config, MAX_QUBITS // 2, "qubits per axis"),
+        n_qubits_per_axis=_qubits(config["qubits"], MAX_QUBITS // 2, "qubits per axis"),
         domain_length=float(config["domain_length"]),
     )
     at = gaussian_runner(params)
@@ -272,8 +299,7 @@ def cmd_gaussian_2d(config: dict) -> int:
     z0 = params.rayleigh_length
     shape = (grids[1].n_points, grids[0].n_points)
 
-    out = _out_dir(config)
-    _write_config(out, "gaussian-2d", config)
+    out = _out_dir("gaussian-2d", config)
     waist_rows = []
     for index, zr in enumerate(config["zr"]):
         zr = float(zr)
@@ -324,6 +350,7 @@ def _load_field(path: str) -> np.ndarray:
 
 
 def cmd_propagate(config: dict) -> int:
+    """Propagate a user field on both paths and compare."""
     if not config["input"]:
         raise ValueError("propagate requires --input FILE with real,imaginary columns")
     _check_positive(config, ("wavelength", "dx", "tolerance"))
@@ -343,8 +370,7 @@ def cmd_propagate(config: dict) -> int:
     )
     deviation = float(np.max(np.abs(quantum.amplitudes - classical.values)))
 
-    out = _out_dir(config)
-    _write_config(out, "propagate", config)
+    out = _out_dir("propagate", config)
     for name, data in (("quantum", quantum.amplitudes), ("classical", classical.values)):
         columns = np.column_stack((data.real, data.imag))
         _write_csv(out / f"field_{name}.csv", ["real", "imaginary"], columns)
@@ -366,32 +392,24 @@ def cmd_propagate(config: dict) -> int:
 
 
 def cmd_error_analysis(config: dict) -> int:
+    """Mean and standard error over repeated simulations."""
     scenario_name = config["scenario"]
-
-    def override(value, default):
-        return default if value is None else value
-
+    # a null qubits or domain_length keeps the scenario's reference value
+    overrides = {}
+    if config["domain_length"] is not None:
+        overrides["domain_length"] = float(config["domain_length"])
     if scenario_name == "double-slit":
-        base = DEFAULT_DOUBLE_SLIT
-        params = DoubleSlitParams(
-            base.slit_separation,
-            base.slit_width,
-            base.wavelength,
-            int(override(config["qubits"], base.n_qubits)),
-            float(override(config["domain_length"], base.domain_length)),
-        )
+        if config["qubits"] is not None:
+            overrides["n_qubits"] = _qubits(config["qubits"])
+        params = replace(DEFAULT_DOUBLE_SLIT, **overrides)
         z_values = [float(z) for z in config["z"]]
-    elif scenario_name == "gaussian-2d":
-        base = DEFAULT_GAUSSIAN_2D
-        params = GaussianParams(
-            base.waist,
-            base.wavelength,
-            int(override(config["qubits"], base.n_qubits_per_axis)),
-            float(override(config["domain_length"], base.domain_length)),
-        )
-        z_values = [float(zr) * params.rayleigh_length for zr in config["zr"]]
     else:
-        raise ValueError(f"unknown scenario {scenario_name!r}")
+        if config["qubits"] is not None:
+            overrides["n_qubits_per_axis"] = _qubits(
+                config["qubits"], MAX_QUBITS // 2, "qubits per axis"
+            )
+        params = replace(DEFAULT_GAUSSIAN_2D, **overrides)
+        z_values = [float(zr) * params.rayleigh_length for zr in config["zr"]]
 
     table = error_analysis(
         params,
@@ -400,8 +418,7 @@ def cmd_error_analysis(config: dict) -> int:
         int(config["sims"]),
         int(config["seed"]),
     )
-    out = _out_dir(config)
-    _write_config(out, "error-analysis", config)
+    out = _out_dir("error-analysis", config)
     rows = [
         (scenario_name, z, n_shots, stats.n_sim, stats.mu, stats.sigma)
         for (z, n_shots), stats in sorted(table.items())
@@ -428,7 +445,8 @@ def _fmt_kinds(counts: dict[str, int]) -> str:
 
 
 def cmd_gate_count(config: dict) -> int:
-    n = _qubits(config)
+    """Exact gate counts and closed-form checks."""
+    n = _qubits(config["qubits"])
     p = int(config["order"])
     qft_counts = build_qft(n).gate_count()
     iqft_counts = build_iqft(n).gate_count()
@@ -458,8 +476,7 @@ def cmd_gate_count(config: dict) -> int:
     report = "\n".join(lines)
     print(report)
     if config["out"]:
-        out = _out_dir(config)
-        _write_config(out, "gate-count", config)
+        out = _out_dir("gate-count", config)
         _write_json(
             out / "gate_count.json",
             {
@@ -475,8 +492,9 @@ def cmd_gate_count(config: dict) -> int:
 
 
 def cmd_export_qasm(config: dict) -> int:
+    """Write the propagation circuit as OpenQASM 2.0."""
     _check_positive(config, ("wavelength", "domain_length"))
-    n = _qubits(config)
+    n = _qubits(config["qubits"])
     if len(config["z"]) != 1:
         raise ValueError("export-qasm expects exactly one --z value")
     grid = GridSpec.from_qubits(n, float(config["domain_length"]))
@@ -486,8 +504,7 @@ def cmd_export_qasm(config: dict) -> int:
     polynomial = DispersionPolynomial({int(config["order"]): quadratic})
     circuit = build_qbpm_circuit(n, grid, wavelength, float(config["z"][0]), polynomial)
     text = circuit.to_qasm_text()
-    out = _out_dir(config)
-    _write_config(out, "export-qasm", config)
+    out = _out_dir("export-qasm", config)
     path = out / "qbpm_circuit.qasm"
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -505,76 +522,45 @@ COMMANDS = {
 }
 
 
+def _number(text: str) -> int | float:
+    """An int for an integer literal, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _flag_options(key: str, default) -> dict:
+    """argparse options for config key ``key``, typed by its default."""
+    if isinstance(default, bool):
+        return {"action": "store_true", "help": _HELP[key]}
+    if isinstance(default, list):
+        element = int if all(isinstance(v, int) for v in default) else float
+        return {"action": "append", "type": element, "help": f"{_HELP[key]} (repeatable)"}
+    if default is None:
+        kind = str if key in _PATH_KEYS else _number
+    else:
+        kind = type(default)
+    return {"type": kind, "choices": _CHOICES.get(key), "help": _HELP[key]}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``COMMANDS`` entry, with a flag per ``DEFAULTS`` key."""
     parser = argparse.ArgumentParser(
         prog="qbpm",
         description="Quantum beam propagation experiments and data export.",
     )
     parser.add_argument("--version", action="version", version=f"qbpm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override file values")
-        p.add_argument("--seed", type=int, help="random seed for sampling")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), help="2D grid output format")
-
-    p = sub.add_parser("double-slit", help="1D double-slit interference experiment")
-    add_common(p)
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--z", type=float, action="append", help="propagation distance (repeatable)")
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--slit-separation", dest="slit_separation", type=float)
-    p.add_argument("--slit-width", dest="slit_width", type=float)
-    p.add_argument("--domain-length", dest="domain_length", type=float)
-
-    p = sub.add_parser("gaussian-2d", help="2D Gaussian beam broadening experiment")
-    add_common(p)
-    p.add_argument("--qubits", type=int, help="qubits per axis")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--zr", type=float, action="append", help="z / rayleigh_length (repeatable)")
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--waist", type=float)
-    p.add_argument("--domain-length", dest="domain_length", type=float)
-    p.add_argument("--sims", type=int, help="repetitions for the sampling-error sweep")
-    p.add_argument(
-        "--sweep-shots", dest="sweep_shots", type=int, action="append",
-        help="shot counts for the sampling-error sweep (repeatable)",
-    )
-
-    p = sub.add_parser("propagate", help="propagate a user field on both paths and compare")
-    add_common(p)
-    p.add_argument("--input", help="CSV field file, columns real,imaginary")
-    p.add_argument("--z", type=float, action="append")
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--dx", type=float, help="grid spacing in meters")
-    p.add_argument("--verify", action="store_true", help="exit 3 if paths deviate")
-    p.add_argument("--tolerance", type=float, help="verification threshold")
-
-    p = sub.add_parser("error-analysis", help="mean/standard error over repeated simulations")
-    add_common(p)
-    p.add_argument("--scenario", choices=("double-slit", "gaussian-2d"))
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--domain-length", dest="domain_length", type=float)
-    p.add_argument("--z", type=float, action="append", help="double-slit distances (repeatable)")
-    p.add_argument("--zr", type=float, action="append", help="gaussian z ratios (repeatable)")
-    p.add_argument("--shots", type=int, action="append", help="shot counts (repeatable)")
-    p.add_argument("--sims", type=int)
-
-    p = sub.add_parser("gate-count", help="exact gate counts and closed-form checks")
-    add_common(p)
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--order", type=int, help="polynomial order of the transfer phase")
-
-    p = sub.add_parser("export-qasm", help="write the propagation circuit as OpenQASM 2.0")
-    add_common(p)
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--order", type=int)
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--domain-length", dest="domain_length", type=float)
-    p.add_argument("--z", type=float, action="append")
-
+    for command, run in COMMANDS.items():
+        summary = (run.__doc__ or "").partition("\n")[0]
+        # an omitted flag stays out of the namespace, so it overrides nothing
+        p = sub.add_parser(
+            command, help=summary, description=summary, argument_default=argparse.SUPPRESS
+        )
+        p.add_argument("--config", default=None, help="JSON config file; flags override it")
+        for key, default in DEFAULTS[command].items():
+            p.add_argument("--" + key.replace("_", "-"), **_flag_options(key, default))
     return parser
 
 

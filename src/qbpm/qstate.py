@@ -79,7 +79,7 @@ def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm register of ``2**n_qubits`` complex amplitudes.
 

@@ -4,7 +4,7 @@ double slit and a 2D Gaussian beam."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,6 +12,14 @@ from . import classical_bpm
 from .classical_bpm import Field, GridSpec, rmse, wavenumber
 from .propagator import build_qbpm_circuit, build_qbpm_circuit_2d
 from .qstate import SampleCounts, StateVector
+
+
+def _check_finite(params) -> None:
+    """Reject a non-finite field of the dataclass ``params``, naming it."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,7 @@ class DoubleSlitParams:
     domain_length: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not (self.slit_separation > self.slit_width > 0.0):
             raise ValueError("need slit_separation > slit_width > 0")
         if not (self.slit_separation + self.slit_width < self.domain_length):
@@ -93,6 +102,7 @@ class GaussianParams:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not (self.waist > 0.0):
             raise ValueError("waist must be positive")
         if not (self.wavelength > 0.0):

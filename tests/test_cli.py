@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shutil
@@ -5,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from qbpm.cli import main
+from qbpm.cli import DEFAULTS, build_parser, main
 
 # small-register double-slit configuration that keeps CLI tests fast while
 # leaving every slit resolved
@@ -173,6 +174,7 @@ class TestErrorAnalysisCommand:
         assert rc == 0
         resolved = read_json(out / "config.json")
         assert resolved["sims"] == 2  # flag wins
+        assert resolved["qubits"] == 11 and isinstance(resolved["qubits"], int)
         assert resolved["shots"] == [500]  # file wins over default
         assert resolved["z"] == [0.0]
 
@@ -293,6 +295,10 @@ class TestInputContract:
             ("error-analysis", {"shots": [1000, "many"]}, "'shots'"),
             ("gate-count", {"out": 7}, "'out'"),
             ("propagate", {"input": 5}, "'input'"),
+            ("error-analysis", {"qubits": "9"}, "'qubits'"),
+            ("gaussian-2d", {"format": "xml"}, "'format'"),
+            ("error-analysis", {"scenario": "bogus"}, "'scenario'"),
+            ("double-slit", {"command": "gate-count"}, "'command'"),
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, payload, key):
@@ -302,6 +308,35 @@ class TestInputContract:
         assert rc == 2
         assert f"config key {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, args, key",
+        [
+            ("gaussian-2d", TestGaussianCommand.ARGS, "waist"),
+            ("double-slit", FAST_SLIT, "slit_width"),
+            ("double-slit", FAST_SLIT, "domain_length"),
+        ],
+    )
+    def test_non_finite_parameter_named(self, tmp_path, capsys, command, args, key):
+        flag = "--" + key.replace("_", "-")
+        rc = main([command, *args, flag, "inf", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{key} must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["error-analysis", "--qubits", "inf"],
+            ["error-analysis", "--scenario", "gaussian-2d", "--qubits", "4.5"],
+            ["double-slit", "--config", "QUBITS_INF"],
+        ],
+    )
+    def test_qubits_must_be_an_integer_in_range(self, tmp_path, capsys, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"qubits": float("inf")}))
+        argv = [str(config) if arg == "QUBITS_INF" else arg for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        assert "must be an integer in 1.." in capsys.readouterr().err
 
     def test_config_numbers_are_interchangeable(self, tmp_path):
         config = tmp_path / "config.json"
@@ -323,6 +358,68 @@ class TestInputContract:
         blocker.write_text("")
         assert main(["gate-count", "--out", str(blocker / "sub")]) == 2
         assert "afile" in capsys.readouterr().err
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionTable:
+    """``DEFAULTS`` is the only option table: each config key is a flag."""
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_flags_are_the_config_keys(self, command):
+        sub = _subparsers()[command]
+        dests = {action.dest for action in sub._actions if action.dest != "help"}
+        assert dests == set(DEFAULTS[command]) | {"config"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["propagate", "--seed", "5"],
+            ["gate-count", "--seed", "5"],
+            ["export-qasm", "--seed", "5"],
+            ["double-slit", "--format", "json"],
+            ["propagate", "--format", "json"],
+            ["error-analysis", "--format", "json"],
+            ["gate-count", "--format", "json"],
+            ["export-qasm", "--format", "json"],
+        ],
+    )
+    def test_removed_flags_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(tmp_path / "run")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["double-slit", *FAST_SLIT],
+            ["gaussian-2d", *TestGaussianCommand.ARGS, "--format", "json"],
+            ["error-analysis", "--scenario", "gaussian-2d", "--qubits", "4",
+             "--domain-length", "0.2", "--zr", "1", "--shots", "200", "--sims", "3"],
+            ["gate-count", "--qubits", "6"],
+            ["export-qasm", "--qubits", "4", "--order", "3"],
+            ["propagate", "--input", "FIELD", "--verify"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_written_config_reruns_byte_identical(self, tmp_path, argv):
+        field = TestPropagateCommand().make_field(tmp_path)
+        argv = [str(field) if arg == "FIELD" else arg for arg in argv]
+        first, second = tmp_path / "run", tmp_path / "run2"
+        assert main([*argv, "--out", str(first)]) == 0
+        assert main([argv[0], "--config", str(first / "config.json"), "--out", str(second)]) == 0
+        data, rerun = tree_bytes(first), tree_bytes(second)
+        assert set(data) == set(rerun) and len(data) > 1
+        for name in data:
+            if name != "config.json":
+                assert rerun[name] == data[name], name
+        written = read_json(second / "config.json")
+        assert written == {**read_json(first / "config.json"), "out": str(second)}
 
 
 def _sha256(data: bytes) -> str:

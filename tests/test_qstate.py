@@ -55,6 +55,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StateVector.from_amplitudes([np.nan, 1.0])
 
+    def test_equality_is_identity_and_does_not_raise(self):
+        state = StateVector.basis_state(2)
+        assert (state == StateVector.basis_state(2)) is False
+        assert (state == state) is True
+
 
 class TestGateAction:
     def test_hadamard_on_zero(self):

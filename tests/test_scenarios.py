@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,29 @@ class TestDoubleSlitParams:
         assert p.n_qubits == 15
         grid = p.make_grid()
         assert int(round(p.slit_width / grid.dx)) >= 32
+
+
+class TestParamsAreFinite:
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            (DEFAULT_DOUBLE_SLIT, "slit_separation"),
+            (DEFAULT_DOUBLE_SLIT, "slit_width"),
+            (DEFAULT_DOUBLE_SLIT, "wavelength"),
+            (DEFAULT_DOUBLE_SLIT, "n_qubits"),
+            (DEFAULT_DOUBLE_SLIT, "domain_length"),
+            (DEFAULT_GAUSSIAN_2D, "waist"),
+            (DEFAULT_GAUSSIAN_2D, "wavelength"),
+            (DEFAULT_GAUSSIAN_2D, "n_qubits_per_axis"),
+            (DEFAULT_GAUSSIAN_2D, "domain_length"),
+            (DEFAULT_GAUSSIAN_2D, "center"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_field_rejected_by_name(self, params, field, bad):
+        value = (0.0, bad) if field == "center" else bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            replace(params, **{field: value})
 
 
 class TestDoubleSlitInitial:
