@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,6 @@ from .qstate import StateVector
 from .scenarios import (
     DEFAULT_DOUBLE_SLIT,
     DEFAULT_GAUSSIAN_2D,
-    DoubleSlitParams,
-    GaussianParams,
     double_slit_runner,
     error_analysis,
     gaussian_runner,
@@ -154,6 +152,11 @@ _PATH_KEYS = ("out", "input")
 # config keys with a fixed set of values
 _CHOICES = {"format": ("csv", "json"), "scenario": ("double-slit", "gaussian-2d")}
 
+# least value of each sampling count, seed and distance key (of every element
+# of a list); an int bound also asks for an integer, and every value must be
+# finite
+_BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "z": 0.0, "zr": 0.0}
+
 _HELP = {
     "qubits": "register size (per axis for gaussian-2d)",
     "shots": "measurement shots",
@@ -226,6 +229,15 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         config.update(from_file)
     # the parser sets only the flags that were given
     config.update((key, value) for key, value in vars(args).items() if key in config)
+    for key, low in _BOUNDS.items():
+        values = config.get(key, [])
+        for value in values if isinstance(values, list) else [values]:
+            if isinstance(low, float) and not low <= value < math.inf:
+                raise ValueError(
+                    f"{key}: propagation distance must be non-negative and finite, got {value}"
+                )
+            if isinstance(low, int) and not (low <= value < math.inf and value == int(value)):
+                raise ValueError(f"{key} must be an integer >= {low}, got {value}")
     return config
 
 
@@ -241,6 +253,28 @@ def _check_positive(config: dict, keys: tuple[str, ...]) -> None:
             raise ValueError(f"{key} must be positive and finite, got {config[key]}")
 
 
+# per scenario: its reference parameters, the field that the config key
+# "qubits" sets, and that field's limit and name in messages
+_SCENARIOS = {
+    "double-slit": (DEFAULT_DOUBLE_SLIT, "n_qubits", MAX_QUBITS, "qubits"),
+    "gaussian-2d": (DEFAULT_GAUSSIAN_2D, "n_qubits_per_axis", MAX_QUBITS // 2, "qubits per axis"),
+}
+
+
+def _scenario(name: str, config: dict):
+    """Scenario ``name``'s reference parameters with each non-null config
+    value put in: the keys named like a parameter, and ``qubits``; a null
+    value keeps the reference value."""
+    default, qubits_field, limit, what = _SCENARIOS[name]
+    names = {field.name for field in fields(default)}
+    keys = tuple(key for key, value in config.items() if key in names and value is not None)
+    _check_positive(config, keys)
+    overrides = {key: float(config[key]) for key in keys}
+    if config["qubits"] is not None:
+        overrides[qubits_field] = _qubits(config["qubits"], limit, what)
+    return replace(default, **overrides)
+
+
 def _out_dir(command: str, config: dict) -> Path:
     """Create the output directory and write ``config.json`` into it."""
     out = Path(config["out"])
@@ -251,14 +285,7 @@ def _out_dir(command: str, config: dict) -> Path:
 
 def cmd_double_slit(config: dict) -> int:
     """1D double-slit interference experiment."""
-    _check_positive(config, ("wavelength", "slit_separation", "slit_width", "domain_length"))
-    params = DoubleSlitParams(
-        slit_separation=float(config["slit_separation"]),
-        slit_width=float(config["slit_width"]),
-        wavelength=float(config["wavelength"]),
-        n_qubits=_qubits(config["qubits"]),
-        domain_length=float(config["domain_length"]),
-    )
+    params = _scenario("double-slit", config)
     at = double_slit_runner(params)
     grid = params.make_grid()
     order = np.argsort(grid.coordinates(), kind="stable")
@@ -287,17 +314,11 @@ def cmd_double_slit(config: dict) -> int:
 
 def cmd_gaussian_2d(config: dict) -> int:
     """2D Gaussian beam broadening experiment."""
-    _check_positive(config, ("wavelength", "waist", "domain_length"))
-    params = GaussianParams(
-        waist=float(config["waist"]),
-        wavelength=float(config["wavelength"]),
-        n_qubits_per_axis=_qubits(config["qubits"], MAX_QUBITS // 2, "qubits per axis"),
-        domain_length=float(config["domain_length"]),
-    )
+    params = _scenario("gaussian-2d", config)
     at = gaussian_runner(params)
-    grids = params.make_grids()
+    grid = params.make_grid()
     z0 = params.rayleigh_length
-    shape = (grids[1].n_points, grids[0].n_points)
+    shape = (grid.n_points, grid.n_points)
 
     out = _out_dir("gaussian-2d", config)
     waist_rows = []
@@ -313,7 +334,7 @@ def cmd_gaussian_2d(config: dict) -> int:
             state.probabilities().reshape(shape),
             config["format"],
         )
-        w_q = waist_from_counts(counts, grids, params.center)
+        w_q = waist_from_counts(counts, grid)
         waist_rows.append((zr, z, w_q, w_ref, w_q - w_ref))
     _write_csv(out / "waist.csv", ["z_ratio", "z", "w_sampled", "w_reference", "error"], waist_rows)
 
@@ -394,21 +415,10 @@ def cmd_propagate(config: dict) -> int:
 def cmd_error_analysis(config: dict) -> int:
     """Mean and standard error over repeated simulations."""
     scenario_name = config["scenario"]
-    # a null qubits or domain_length keeps the scenario's reference value
-    overrides = {}
-    if config["domain_length"] is not None:
-        overrides["domain_length"] = float(config["domain_length"])
+    params = _scenario(scenario_name, config)
     if scenario_name == "double-slit":
-        if config["qubits"] is not None:
-            overrides["n_qubits"] = _qubits(config["qubits"])
-        params = replace(DEFAULT_DOUBLE_SLIT, **overrides)
         z_values = [float(z) for z in config["z"]]
     else:
-        if config["qubits"] is not None:
-            overrides["n_qubits_per_axis"] = _qubits(
-                config["qubits"], MAX_QUBITS // 2, "qubits per axis"
-            )
-        params = replace(DEFAULT_GAUSSIAN_2D, **overrides)
         z_values = [float(zr) * params.rayleigh_length for zr in config["zr"]]
 
     table = error_analysis(

@@ -158,24 +158,21 @@ def build_qbpm_circuit(
 
 def build_qbpm_circuit_2d(
     n_per_axis: int,
-    grid_x: GridSpec,
-    grid_y: GridSpec,
+    grid: GridSpec,
     wavelength: float,
     z: float,
     polynomial: DispersionPolynomial | None = None,
 ) -> Circuit:
-    """Two-axis propagation circuit on ``2 * n_per_axis`` qubits.
+    """Propagation circuit on a square register of ``2 * n_per_axis`` qubits.
 
-    The x-axis pipeline acts on qubits ``[0, n)`` and the y-axis pipeline
-    on qubits ``[n, 2n)``; the two commute, so arbitrary (including
-    non-separable) 2D inputs propagate correctly.
+    The pipeline for one axis on ``grid`` acts on qubits ``[0, n)``, and a
+    copy shifted by ``n`` propagates the other axis on ``[n, 2n)``; the two
+    commute, so arbitrary (including non-separable) 2D inputs propagate.
     """
     total = 2 * n_per_axis
     if total > MAX_QUBITS:
         raise ValueError(f"{total} qubits exceed the register budget of {MAX_QUBITS}")
-    circuit_x = build_qbpm_circuit(n_per_axis, grid_x, wavelength, z, polynomial)
-    circuit_y = build_qbpm_circuit(n_per_axis, grid_y, wavelength, z, polynomial)
-    circuit = Circuit(total)
-    circuit.extend(circuit_x.gates)
-    circuit.extend(circuit_y.shifted(n_per_axis, total).gates)
+    axis = build_qbpm_circuit(n_per_axis, grid, wavelength, z, polynomial)
+    circuit = Circuit(total, axis.gates)
+    circuit.extend(axis.shifted(n_per_axis, total).gates)
     return circuit

@@ -18,7 +18,7 @@ def _check_finite(params) -> None:
     """Reject a non-finite field of the dataclass ``params``, naming it."""
     for field in fields(params):
         value = getattr(params, field.name)
-        if not np.all(np.isfinite(value)):
+        if not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite, got {value}")
 
 
@@ -92,14 +92,13 @@ def predicted_fringe_positions(params: DoubleSlitParams, z: float, orders) -> np
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Gaussian beam of waist ``waist`` centered at ``center`` on a square
-    two-axis register with ``n_qubits_per_axis`` qubits per axis."""
+    """Gaussian beam of waist ``waist`` centered on a square two-axis
+    register with ``n_qubits_per_axis`` qubits per axis."""
 
     waist: float
     wavelength: float
     n_qubits_per_axis: int
     domain_length: float
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         _check_finite(self)
@@ -121,58 +120,45 @@ class GaussianParams:
         """Distance over which the beam area doubles, ``k * w0**2 / 2``."""
         return self.wavenumber * self.waist**2 / 2.0
 
-    def make_grids(self) -> tuple[GridSpec, GridSpec]:
-        grid = GridSpec.from_qubits(self.n_qubits_per_axis, self.domain_length)
-        return grid, grid
+    def make_grid(self) -> GridSpec:
+        return GridSpec.from_qubits(self.n_qubits_per_axis, self.domain_length)
 
 
-def gaussian_initial_2d(params: GaussianParams, grids: tuple[GridSpec, GridSpec]) -> Field:
-    """Unit-norm amplitude ``exp(-((x-x0)**2 + (y-y0)**2) / w0**2)``."""
-    grid_x, grid_y = grids
-    if params.waist < 4.0 * max(grid_x.dx, grid_y.dx):
+def gaussian_initial_2d(params: GaussianParams, grid: GridSpec) -> Field:
+    """Unit-norm amplitude ``exp(-(x**2 + y**2) / w0**2)`` on ``grid`` along both axes."""
+    if params.waist < 4.0 * grid.dx:
         raise ValueError(
             f"waist {params.waist} under-resolved: need at least 4 grid points across it"
         )
-    x0, y0 = params.center
+    values = np.exp(-_radius_squared(grid, grid) / params.waist**2).astype(np.complex128)
+    return Field((grid, grid), values / np.linalg.norm(values))
+
+
+def _radius_squared(grid_x: GridSpec, grid_y: GridSpec) -> np.ndarray:
     x = grid_x.coordinates()[np.newaxis, :]
     y = grid_y.coordinates()[:, np.newaxis]
-    values = np.exp(-(((x - x0) ** 2) + ((y - y0) ** 2)) / params.waist**2)
-    values = values.astype(np.complex128)
-    return Field(grids, values / np.linalg.norm(values))
+    return x**2 + y**2
 
 
-def _radius_squared(
-    grids: tuple[GridSpec, GridSpec], center: tuple[float, float]
-) -> np.ndarray:
-    grid_x, grid_y = grids
-    x0, y0 = center
-    x = grid_x.coordinates()[np.newaxis, :]
-    y = grid_y.coordinates()[:, np.newaxis]
-    return (x - x0) ** 2 + (y - y0) ** 2
+def waist_from_counts(counts: SampleCounts, grid: GridSpec) -> float:
+    """Second-moment beam radius estimated from a shot histogram on the
+    square register whose axes both use ``grid``.
 
-
-def waist_from_counts(
-    counts: SampleCounts,
-    grids: tuple[GridSpec, GridSpec],
-    center: tuple[float, float] = (0.0, 0.0),
-) -> float:
-    """Second-moment beam radius estimated from a shot histogram.
-
-    ``w = sqrt(sum_ij ((x_i - x0)**2 + (y_j - y0)**2) * P_ij)`` with
-    ``P_ij`` the empirical collapse frequency at grid cell (i, j).
+    ``w = sqrt(sum_ij (x_i**2 + y_j**2) * P_ij)`` with ``P_ij`` the
+    empirical collapse frequency at grid cell (i, j).
     """
-    grid_x, grid_y = grids
-    weights = counts.frequencies().reshape(grid_y.n_points, grid_x.n_points)
-    return float(np.sqrt(np.sum(_radius_squared(grids, center) * weights)))
+    weights = counts.frequencies().reshape(grid.n_points, grid.n_points)
+    return float(np.sqrt(np.sum(_radius_squared(grid, grid) * weights)))
 
 
-def waist_from_field(field: Field, center: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Second-moment beam radius of a discrete field, weights ``|U_ij|**2``."""
+def waist_from_field(field: Field) -> float:
+    """Second-moment beam radius of a discrete field about the origin,
+    weights ``|U_ij|**2``."""
     if field.ndim != 2:
         raise ValueError("waist_from_field expects a 2D field")
     intensity = field.intensity()
     weights = intensity / intensity.sum()
-    return float(np.sqrt(np.sum(_radius_squared(field.grids, center) * weights)))
+    return float(np.sqrt(np.sum(_radius_squared(*field.grids) * weights)))
 
 
 @dataclass(frozen=True)
@@ -217,10 +203,10 @@ def error_analysis(
 
     elif isinstance(scenario, GaussianParams):
         at = gaussian_runner(scenario)
-        grids = scenario.make_grids()
+        grid = scenario.make_grid()
 
         def run_error(counts: SampleCounts, reference) -> float:
-            return waist_from_counts(counts, grids, scenario.center) - reference
+            return waist_from_counts(counts, grid) - reference
 
     else:
         raise TypeError(f"unknown scenario type {type(scenario).__name__}")
@@ -296,15 +282,15 @@ def gaussian_runner(params: GaussianParams):
     distance ``z``; ``reference`` is the second-moment radius of the
     classically propagated field.
     """
-    grids = params.make_grids()
-    initial = gaussian_initial_2d(params, grids)
+    grid = params.make_grid()
+    initial = gaussian_initial_2d(params, grid)
     state0 = StateVector.from_amplitudes(initial.values)
     n = params.n_qubits_per_axis
 
     def at(z: float):
         reference_field = classical_bpm.propagate_2d(initial, params.wavelength, z)
-        w_reference = waist_from_field(reference_field, params.center)
-        circuit = build_qbpm_circuit_2d(n, grids[0], grids[1], params.wavelength, z)
+        w_reference = waist_from_field(reference_field)
+        circuit = build_qbpm_circuit_2d(n, grid, params.wavelength, z)
         return circuit.run(state0), w_reference
 
     return at

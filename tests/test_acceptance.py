@@ -245,8 +245,8 @@ def test_criterion_8_gaussian_2d_reproduction():
     scales as shots**-0.5 within +-0.1, and 100 shots estimate the waist
     within 10 percent in at least 90 of 100 runs."""
     params = DEFAULT_GAUSSIAN_2D
-    grids = params.make_grids()
-    initial = gaussian_initial_2d(params, grids)
+    grid = params.make_grid()
+    initial = gaussian_initial_2d(params, grid)
     state0 = StateVector.from_amplitudes(initial.values)
     z0 = params.rayleigh_length
     ratios = (0.0, 1.0, 2.0, 3.0)
@@ -258,10 +258,10 @@ def test_criterion_8_gaussian_2d_reproduction():
         reference = propagate_2d(initial, params.wavelength, z)
         w_ref[zr] = waist_from_field(reference)
         circuit = build_qbpm_circuit_2d(
-            params.n_qubits_per_axis, grids[0], grids[1], params.wavelength, z
+            params.n_qubits_per_axis, grid, params.wavelength, z
         )
         counts = circuit.run(state0).sample(50_000, seed=8001)
-        w_sampled[zr] = waist_from_counts(counts, grids)
+        w_sampled[zr] = waist_from_counts(counts, grid)
 
     widths = [w_ref[zr] for zr in ratios]
     assert all(a < b for a, b in zip(widths, widths[1:]))  # visible broadening
@@ -281,13 +281,13 @@ def test_criterion_8_gaussian_2d_reproduction():
     assert -0.6 <= slope <= -0.4, slope
 
     circuit = build_qbpm_circuit_2d(
-        params.n_qubits_per_axis, grids[0], grids[1], params.wavelength, z0
+        params.n_qubits_per_axis, grid, params.wavelength, z0
     )
     state = circuit.run(state0)
     reference_width = waist_from_field(propagate_2d(initial, params.wavelength, z0))
     hits = 0
     for run in range(100):
-        estimate = waist_from_counts(state.sample(100, seed=8003 + run), grids)
+        estimate = waist_from_counts(state.sample(100, seed=8003 + run), grid)
         if abs(estimate - reference_width) / reference_width < 0.10:
             hits += 1
     assert hits >= 90

@@ -18,6 +18,16 @@ FAST_SLIT = [
 ]
 
 
+# small error-analysis runs of each scenario
+FAST_ERROR_SLIT = [
+    "--qubits", "9", "--domain-length", "0.0064", "--z", "0", "--shots", "200", "--sims", "2",
+]
+FAST_ERROR_GAUSSIAN = [
+    "--scenario", "gaussian-2d", "--qubits", "4", "--domain-length", "0.2",
+    "--zr", "0", "--shots", "200", "--sims", "2",
+]
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -91,6 +101,30 @@ class TestGaussianCommand:
         assert main(["gaussian-2d", *self.ARGS, "--format", "json", "--out", str(out)]) == 0
         grid = read_json(out / "intensity_zr00_exact.json")
         assert len(grid) == 16 and len(grid[0]) == 16
+
+    def test_sweep_matches_error_analysis(self, tmp_path):
+        # both commands build the scenario from the same keys, so the
+        # sigma_w sweep is the error-analysis table of that scenario
+        common = ["--qubits", "4", "--domain-length", "0.2", "--sims", "5", "--seed", "7"]
+        shots = ["100", "1000"]
+        sweep, table = tmp_path / "sweep", tmp_path / "table"
+        argv = ["gaussian-2d", *common, "--out", str(sweep)]
+        for s in shots:
+            argv += ["--sweep-shots", s]
+        assert main(argv) == 0
+        argv = ["error-analysis", "--scenario", "gaussian-2d", *common, "--out", str(table)]
+        for s in shots:
+            argv += ["--shots", s]
+        assert main(argv) == 0
+        # (z, n_shots, n_sim, mu, sigma) after the first column of each
+        sigma_w, stats = (
+            [line.split(",")[1:] for line in path.read_text().splitlines()]
+            for path in (sweep / "sigma_w.csv", table / "error_stats.csv")
+        )
+        assert sigma_w[0] == ["z", "n_shots", "n_sim", "mu_error", "sigma_w"]
+        assert stats[0] == ["z", "n_shots", "n_sim", "mu", "sigma"]
+        assert len(sigma_w) == 9
+        assert sigma_w[1:] == stats[1:]
 
 
 class TestPropagateCommand:
@@ -315,6 +349,8 @@ class TestInputContract:
             ("gaussian-2d", TestGaussianCommand.ARGS, "waist"),
             ("double-slit", FAST_SLIT, "slit_width"),
             ("double-slit", FAST_SLIT, "domain_length"),
+            ("error-analysis", FAST_ERROR_SLIT, "domain_length"),
+            ("error-analysis", FAST_ERROR_GAUSSIAN, "domain_length"),
         ],
     )
     def test_non_finite_parameter_named(self, tmp_path, capsys, command, args, key):
@@ -322,6 +358,59 @@ class TestInputContract:
         rc = main([command, *args, flag, "inf", "--out", str(tmp_path / "run")])
         assert rc == 2
         assert f"{key} must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args", [FAST_ERROR_SLIT, FAST_ERROR_GAUSSIAN], ids=["double-slit", "gaussian-2d"]
+    )
+    def test_negative_domain_length_named(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(["error-analysis", *args, "--domain-length", "-1", "--out", str(out)]) == 2
+        assert "domain_length must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, args, flag, value",
+        [
+            ("double-slit", FAST_SLIT, "--shots", "0"),
+            ("double-slit", FAST_SLIT, "--seed", "-1"),
+            ("double-slit", FAST_SLIT, "--z", "-1"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--shots", "0"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--sims", "1"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--sweep-shots", "0"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--seed", "-1"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--zr", "-1"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--zr", "nan"),
+            ("error-analysis", FAST_ERROR_SLIT, "--shots", "0"),
+            ("error-analysis", FAST_ERROR_SLIT, "--sims", "1"),
+            ("error-analysis", FAST_ERROR_SLIT, "--seed", "-1"),
+            ("error-analysis", FAST_ERROR_SLIT, "--z", "-1"),
+            ("error-analysis", FAST_ERROR_GAUSSIAN, "--zr", "inf"),
+        ],
+    )
+    def test_sampling_value_out_of_bounds(self, tmp_path, capsys, command, args, flag, value):
+        # checked before the output directory is made
+        out = tmp_path / "run"
+        assert main([command, *args, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.split()[1].rstrip(":") == flag[2:].replace("-", "_"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("double-slit", {"shots": 0}),
+            ("gaussian-2d", {"sims": 1.5}),
+            ("error-analysis", {"z": [0.0, float("inf")]}),
+        ],
+    )
+    def test_config_value_out_of_bounds(self, tmp_path, capsys, command, payload):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        [key] = payload
+        assert capsys.readouterr().err.split()[1].rstrip(":") == key
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -254,7 +254,7 @@ class TestQbpmCircuit2d:
     def test_zero_distance_is_identity(self):
         grid = GridSpec(16, 1e-5)
         state = random_state(8, seed=65)
-        out = build_qbpm_circuit_2d(4, grid, grid, 532e-9, 0.0).run(state)
+        out = build_qbpm_circuit_2d(4, grid, 532e-9, 0.0).run(state)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-10
 
     def test_separable_input_factorizes(self):
@@ -264,7 +264,7 @@ class TestQbpmCircuit2d:
         fy = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         joint = np.outer(fy, fx)
         state = StateVector.from_amplitudes(joint)
-        out = build_qbpm_circuit_2d(4, grid, grid, 1e-6, 0.02).run(state)
+        out = build_qbpm_circuit_2d(4, grid, 1e-6, 0.02).run(state)
         sx = build_qbpm_circuit(4, grid, 1e-6, 0.02).run(StateVector.from_amplitudes(fx))
         sy = build_qbpm_circuit(4, grid, 1e-6, 0.02).run(StateVector.from_amplitudes(fy))
         product = np.outer(sy.amplitudes, sx.amplitudes).ravel()
@@ -273,13 +273,22 @@ class TestQbpmCircuit2d:
     def test_non_separable_input_matches_classical(self):
         grid = GridSpec(16, 1e-5)
         state = random_state(8, seed=67)
-        out = build_qbpm_circuit_2d(4, grid, grid, 1e-6, 0.03).run(state)
+        out = build_qbpm_circuit_2d(4, grid, 1e-6, 0.03).run(state)
         classical = propagate_2d(
             Field((grid, grid), state.amplitudes.reshape(16, 16)), 1e-6, 0.03
         )
         assert np.max(np.abs(out.amplitudes - classical.values.ravel())) < 1e-9
 
+    def test_second_axis_is_the_first_shifted(self):
+        grid = GridSpec(16, 1e-5)
+        gates = build_qbpm_circuit_2d(4, grid, 1e-6, 0.02).gates
+        first, second = gates[: len(gates) // 2], gates[len(gates) // 2 :]
+        assert first == build_qbpm_circuit(4, grid, 1e-6, 0.02).gates
+        for a, b in zip(first, second, strict=True):
+            assert type(b) is type(a) and getattr(b, "phi", None) == getattr(a, "phi", None)
+            assert b.qubits == tuple(q + 4 for q in a.qubits)
+
     def test_qubit_budget(self):
         grid = GridSpec(2**13, 1e-5)
         with pytest.raises(ValueError):
-            build_qbpm_circuit_2d(13, grid, grid, 532e-9, 0.1)
+            build_qbpm_circuit_2d(13, grid, 532e-9, 0.1)

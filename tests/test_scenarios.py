@@ -56,14 +56,12 @@ class TestParamsAreFinite:
             (DEFAULT_GAUSSIAN_2D, "wavelength"),
             (DEFAULT_GAUSSIAN_2D, "n_qubits_per_axis"),
             (DEFAULT_GAUSSIAN_2D, "domain_length"),
-            (DEFAULT_GAUSSIAN_2D, "center"),
         ],
     )
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_field_rejected_by_name(self, params, field, bad):
-        value = (0.0, bad) if field == "center" else bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            replace(params, **{field: value})
+            replace(params, **{field: bad})
 
 
 class TestDoubleSlitInitial:
@@ -139,8 +137,8 @@ class TestDoubleSlitAnalytic:
 class TestGaussianInitial:
     def test_peak_at_center_and_waist_amplitude(self):
         params = DEFAULT_GAUSSIAN_2D
-        grids = params.make_grids()
-        field = gaussian_initial_2d(params, grids)
+        grid = params.make_grid()
+        field = gaussian_initial_2d(params, grid)
         values = field.values
         peak = values[0, 0]  # slot (0, 0) is the origin
         assert np.abs(values).max() == pytest.approx(abs(peak))
@@ -150,13 +148,13 @@ class TestGaussianInitial:
 
     def test_unit_norm(self):
         params = DEFAULT_GAUSSIAN_2D
-        field = gaussian_initial_2d(params, params.make_grids())
+        field = gaussian_initial_2d(params, params.make_grid())
         assert abs(np.linalg.norm(field.values) - 1.0) < 1e-12
 
     def test_under_resolved_waist_rejected(self):
         params = GaussianParams(0.05, 532e-9, 5, 0.8)
         with pytest.raises(ValueError):
-            gaussian_initial_2d(params, params.make_grids())
+            gaussian_initial_2d(params, params.make_grid())
 
     def test_rayleigh_length(self):
         params = DEFAULT_GAUSSIAN_2D
@@ -167,25 +165,25 @@ class TestGaussianInitial:
 class TestWaistEstimators:
     def test_all_shots_at_center_give_zero(self):
         params = DEFAULT_GAUSSIAN_2D
-        grids = params.make_grids()
-        histogram = np.zeros(grids[0].n_points * grids[1].n_points, dtype=np.int64)
+        grid = params.make_grid()
+        histogram = np.zeros(grid.n_points**2, dtype=np.int64)
         histogram[0] = 500  # basis index 0 is the origin
         counts = SampleCounts(histogram, 500)
-        assert waist_from_counts(counts, grids) == 0.0
+        assert waist_from_counts(counts, grid) == 0.0
 
     def test_delta_field_gives_zero(self):
-        grids = DEFAULT_GAUSSIAN_2D.make_grids()
+        grid = DEFAULT_GAUSSIAN_2D.make_grid()
         values = np.zeros((32, 32), dtype=complex)
         values[0, 0] = 1.0
         from qbpm import Field
 
-        assert waist_from_field(Field(grids, values)) == 0.0
+        assert waist_from_field(Field((grid, grid), values)) == 0.0
 
     def test_initial_waist_is_w0_over_sqrt2(self):
         # closed-form second moment of exp(-2 r^2 / w0^2), cross-checked by
         # numerical quadrature on a much finer grid
         params = DEFAULT_GAUSSIAN_2D
-        field = gaussian_initial_2d(params, params.make_grids())
+        field = gaussian_initial_2d(params, params.make_grid())
         measured = waist_from_field(field)
         assert measured == pytest.approx(params.waist / np.sqrt(2), rel=1e-6)
 
@@ -199,18 +197,18 @@ class TestWaistEstimators:
 
     def test_sampled_waist_converges_to_field_waist(self):
         params = DEFAULT_GAUSSIAN_2D
-        grids = params.make_grids()
-        initial = gaussian_initial_2d(params, grids)
+        grid = params.make_grid()
+        initial = gaussian_initial_2d(params, grid)
         z = params.rayleigh_length
-        circuit = build_qbpm_circuit_2d(5, grids[0], grids[1], params.wavelength, z)
+        circuit = build_qbpm_circuit_2d(5, grid, params.wavelength, z)
         state = circuit.run(StateVector.from_amplitudes(initial.values))
         w_ref = waist_from_field(propagate_2d(initial, params.wavelength, z))
-        w_sampled = waist_from_counts(state.sample(100_000, seed=3), grids)
+        w_sampled = waist_from_counts(state.sample(100_000, seed=3), grid)
         assert abs(w_sampled - w_ref) / w_ref < 0.01
 
     def test_broadening_is_strictly_monotone(self):
         params = DEFAULT_GAUSSIAN_2D
-        initial = gaussian_initial_2d(params, params.make_grids())
+        initial = gaussian_initial_2d(params, params.make_grid())
         z0 = params.rayleigh_length
         widths = [
             waist_from_field(propagate_2d(initial, params.wavelength, zr * z0))
@@ -239,7 +237,7 @@ class TestRunners:
 
     def test_gaussian_reference_is_classical_field_waist(self):
         params = GaussianParams(0.05, 532e-9, 4, 0.2)
-        initial = gaussian_initial_2d(params, params.make_grids())
+        initial = gaussian_initial_2d(params, params.make_grid())
         z = params.rayleigh_length
         state, w_reference = gaussian_runner(params)(z)
         classical = propagate_2d(initial, params.wavelength, z)
@@ -302,16 +300,16 @@ class TestErrorAnalysis:
 
     def test_sampled_waist_lands_within_three_standard_errors(self):
         params = DEFAULT_GAUSSIAN_2D
-        grids = params.make_grids()
-        initial = gaussian_initial_2d(params, grids)
+        grid = params.make_grid()
+        initial = gaussian_initial_2d(params, grid)
         z = params.rayleigh_length
         table = error_analysis(params, [z], [100_000], n_sim=100, seed=55)
         sigma_w = table[(z, 100_000)].sigma
         w_ref = waist_from_field(propagate_2d(initial, params.wavelength, z))
-        circuit = build_qbpm_circuit_2d(5, grids[0], grids[1], params.wavelength, z)
+        circuit = build_qbpm_circuit_2d(5, grid, params.wavelength, z)
         state = circuit.run(StateVector.from_amplitudes(initial.values))
         hits = sum(
-            abs(waist_from_counts(state.sample(100_000, 700 + i), grids) - w_ref) < 3 * sigma_w
+            abs(waist_from_counts(state.sample(100_000, 700 + i), grid) - w_ref) < 3 * sigma_w
             for i in range(20)
         )
         assert hits >= 19  # 95 percent of runs
