@@ -11,7 +11,6 @@ from .circuit import MAX_QUBITS, Circuit, Gate, Hadamard, PhaseGate, Swap, fold_
 from .classical_bpm import Field, GridSpec, propagate_1d, propagate_2d, rmse
 from .propagator import (
     DispersionPolynomial,
-    MonomialTerm,
     build_monomial_propagator,
     build_qbpm_circuit,
     build_qbpm_circuit_2d,
@@ -55,7 +54,6 @@ __all__ = [
     "GridSpec",
     "Hadamard",
     "MAX_QUBITS",
-    "MonomialTerm",
     "PhaseGate",
     "SampleCounts",
     "StateVector",

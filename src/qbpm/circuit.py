@@ -105,12 +105,6 @@ def _kind(gate: Gate) -> str:
     return type(gate).__name__
 
 
-def _inverted(gate: Gate) -> Gate:
-    if isinstance(gate, PhaseGate):
-        return PhaseGate(gate.qubits, -gate.phi)
-    return gate  # Hadamard and Swap are self-inverse
-
-
 def _shifted(gate: Gate, offset: int) -> Gate:
     if isinstance(gate, PhaseGate):
         return PhaseGate(tuple(q + offset for q in gate.qubits), gate.phi)
@@ -160,10 +154,6 @@ class Circuit:
         for gate in self._gates:
             counts[_kind(gate)] += 1
         return counts
-
-    def inverse(self) -> "Circuit":
-        """Adjoint circuit: reversed gate order with negated phases."""
-        return Circuit(self.n_qubits, (_inverted(g) for g in reversed(self._gates)))
 
     def shifted(self, offset: int, n_qubits: int) -> "Circuit":
         """Same gate sequence with every qubit index moved up by ``offset``."""

@@ -47,10 +47,6 @@ class GridSpec:
         return self.n_points.bit_length() - 1
 
     @property
-    def length(self) -> float:
-        return self.n_points * self.dx
-
-    @property
     def d_alpha(self) -> float:
         return 2.0 * math.pi / (self.n_points * self.dx)
 
@@ -97,9 +93,6 @@ class Field:
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
-    def power(self) -> float:
-        return float(np.sum(self.intensity()))
-
 
 def wavenumber(wavelength: float) -> float:
     """``k = 2 pi / wavelength`` for a positive, finite wavelength."""
@@ -116,6 +109,15 @@ def check_propagation_args(wavelength: float, z: float) -> float:
     return k
 
 
+def _propagate(field: Field, wavelength: float, z: float) -> Field:
+    k = check_propagation_args(wavelength, z)
+    # values[iy, ix]: the x frequencies run along the last axis
+    freq_squared = sum(f**2 for f in np.ix_(*(g.frequencies() for g in reversed(field.grids))))
+    spectrum = np.fft.fftn(field.values, norm="ortho")
+    spectrum *= np.exp(-1j * freq_squared * z / (2.0 * k))
+    return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))
+
+
 def propagate_1d(field: Field, wavelength: float, z: float) -> Field:
     """Paraxial free-space propagation of a 1D field by distance ``z``.
 
@@ -126,25 +128,14 @@ def propagate_1d(field: Field, wavelength: float, z: float) -> Field:
     """
     if field.ndim != 1:
         raise ValueError("propagate_1d expects a 1D field")
-    k = check_propagation_args(wavelength, z)
-    grid = field.grids[0]
-    alpha = grid.frequencies()
-    spectrum = np.fft.fft(field.values, norm="ortho")
-    spectrum *= np.exp(-1j * alpha**2 * z / (2.0 * k))
-    return Field(field.grids, np.fft.ifft(spectrum, norm="ortho"))
+    return _propagate(field, wavelength, z)
 
 
 def propagate_2d(field: Field, wavelength: float, z: float) -> Field:
     """Paraxial propagation of a 2D field; transfer phase uses alpha**2 + beta**2."""
     if field.ndim != 2:
         raise ValueError("propagate_2d expects a 2D field")
-    k = check_propagation_args(wavelength, z)
-    grid_x, grid_y = field.grids
-    alpha = grid_x.frequencies()[np.newaxis, :]
-    beta = grid_y.frequencies()[:, np.newaxis]
-    spectrum = np.fft.fft2(field.values, norm="ortho")
-    spectrum *= np.exp(-1j * (alpha**2 + beta**2) * z / (2.0 * k))
-    return Field(field.grids, np.fft.ifft2(spectrum, norm="ortho"))
+    return _propagate(field, wavelength, z)
 
 
 def rmse(i_ref, i_num) -> float:

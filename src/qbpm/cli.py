@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -152,10 +153,11 @@ _PATH_KEYS = ("out", "input")
 # config keys with a fixed set of values
 _CHOICES = {"format": ("csv", "json"), "scenario": ("double-slit", "gaussian-2d")}
 
-# least value of each sampling count, seed and distance key (of every element
-# of a list); an int bound also asks for an integer, and every value must be
-# finite
-_BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "z": 0.0, "zr": 0.0}
+# least value of each sampling count, seed, order and distance key (of every
+# element of a list); an int bound also asks for an integer of at most
+# _INT64_MAX, numpy's largest shot count, and every value must be finite
+_BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "order": 1, "z": 0.0, "zr": 0.0}
+_INT64_MAX = 2**63 - 1
 
 _HELP = {
     "qubits": "register size (per axis for gaussian-2d)",
@@ -236,8 +238,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 raise ValueError(
                     f"{key}: propagation distance must be non-negative and finite, got {value}"
                 )
-            if isinstance(low, int) and not (low <= value < math.inf and value == int(value)):
-                raise ValueError(f"{key} must be an integer >= {low}, got {value}")
+            if isinstance(low, int) and not (low <= value <= _INT64_MAX and value == int(value)):
+                raise ValueError(f"{key} must be an integer in {low}..{_INT64_MAX}, got {value}")
     return config
 
 
@@ -440,17 +442,13 @@ def cmd_error_analysis(config: dict) -> int:
     return 0
 
 
-_KIND_LABELS = {
-    "Hadamard": "hadamard",
-    "Phase": "phase",
-    "ControlledPhase": "controlled-phase",
-    "MultiControlledPhase": "multi-controlled-phase",
-    "Swap": "swap",
-}
-
-
 def _fmt_kinds(counts: dict[str, int]) -> str:
-    parts = [f"{_KIND_LABELS[kind]} {count}" for kind, count in counts.items() if count]
+    # each GATE_KINDS name in kebab case: ControlledPhase is controlled-phase
+    parts = [
+        re.sub(r"\B(?=[A-Z])", "-", kind).lower() + f" {count}"
+        for kind, count in counts.items()
+        if count
+    ]
     return ", ".join(parts) if parts else "none"
 
 

@@ -18,23 +18,10 @@ import numpy as np
 
 from .circuit import MAX_QUBITS, Circuit, PhaseGate, scaled_phase
 from .classical_bpm import GridSpec, check_propagation_args, wavenumber
-from .qft import FORWARD, build_iqft, build_qft
+from .qft import build_iqft, build_qft
 
 MAX_ORDER = 4
 _MAX_ORACLE_QUBITS = 14
-
-
-@dataclass(frozen=True)
-class MonomialTerm:
-    """One digit-subset term: ``coefficient * prod(a_j for j in qubits)``."""
-
-    qubits: tuple[int, ...]
-    coefficient: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(sorted(self.qubits)))
-        if len(set(self.qubits)) != len(self.qubits) or not self.qubits:
-            raise ValueError("qubits must be a non-empty set of distinct indices")
 
 
 @dataclass(frozen=True)
@@ -67,13 +54,14 @@ def signed_index_weights(n: int) -> list[int]:
     return weights
 
 
-def decompose_monomial(n: int, p: int) -> list[MonomialTerm]:
+def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     """Exact digit-subset expansion of ``g**p`` over ``n`` two's-complement digits.
 
-    Repeated digits collapse (``a_j**m == a_j``), coefficients of identical
-    subsets merge, and zero coefficients are dropped; summing
-    ``coefficient * prod(a_j)`` over the result reproduces ``g**p`` exactly
-    for every representable signed ``g``.
+    Returns ``(qubits, coefficient)`` pairs, ordered by subset size, then
+    qubits.  Repeated digits collapse (``a_j**m == a_j``), coefficients of
+    identical subsets merge, and zero coefficients are dropped; summing
+    ``coefficient * prod(a_j for j in qubits)`` over the result reproduces
+    ``g**p`` exactly for every representable signed ``g``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -88,11 +76,10 @@ def decompose_monomial(n: int, p: int) -> list[MonomialTerm]:
                 key = subset | {j}
                 product[key] = product.get(key, 0) + coefficient * weights[j]
         terms = product
-    ordered = sorted(
+    return sorted(
         ((tuple(sorted(subset)), c) for subset, c in terms.items() if c != 0),
         key=lambda item: (len(item[0]), item[0]),
     )
-    return [MonomialTerm(qubits, coefficient) for qubits, coefficient in ordered]
 
 
 def build_monomial_propagator(n: int, p: int, phi: float) -> Circuit:
@@ -102,8 +89,7 @@ def build_monomial_propagator(n: int, p: int, phi: float) -> Circuit:
     with the term coefficient times ``phi`` folded into (-pi, pi].
     """
     return Circuit(
-        n,
-        (PhaseGate(t.qubits, scaled_phase(phi, t.coefficient)) for t in decompose_monomial(n, p)),
+        n, (PhaseGate(qubits, scaled_phase(phi, c)) for qubits, c in decompose_monomial(n, p))
     )
 
 
@@ -149,10 +135,10 @@ def build_qbpm_circuit(
     check_propagation_args(wavelength, z)
     if polynomial is None:
         polynomial = DispersionPolynomial.paraxial(wavelength)
-    circuit = build_qft(n, FORWARD)
+    circuit = build_qft(n)
     for p, phi in polynomial.phase_angles(grid, z).items():
         circuit.extend(build_monomial_propagator(n, p, phi))
-    circuit.extend(build_iqft(n, FORWARD))
+    circuit.extend(build_iqft(n))
     return circuit
 
 

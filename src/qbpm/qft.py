@@ -1,13 +1,13 @@
 """Quantum Fourier transform builders with a pinned exponent sign.
 
-``build_qft(n, sign)`` realizes the unitary with matrix elements
-``exp(sign * 2j*pi * g*g' / N) / sqrt(N)`` on the basis indices, including
-the final qubit-reversal swaps so output bit order equals input bit order.
-The forward transform of the propagation pipeline uses sign -1, matching
-the ``exp(-i alpha x)`` analysis convention; for even transfer phases the
-sign is unobservable, but odd polynomial orders make it physical, so it is
-explicit everywhere.  A dense matrix transform is provided as the
-verification oracle.
+``build_qft(n)`` realizes the unitary with matrix elements
+``exp(-2j*pi * g*g' / N) / sqrt(N)`` on the basis indices, including the
+final qubit-reversal swaps so output bit order equals input bit order.
+The sign -1 matches the ``exp(-i alpha x)`` analysis convention; for even
+transfer phases the sign is unobservable, but odd polynomial orders make
+it physical.  ``build_iqft(n)`` is its adjoint: the sign +1 transform with
+its gates in reverse order.  A dense matrix transform with either sign is
+provided as the verification oracle.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ def _check_args(n: int, sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
-def build_qft(n: int, sign: int = FORWARD) -> Circuit:
+def _qft(n: int, sign: int) -> Circuit:
     """Fourier-transform circuit on ``n`` qubits with the given exponent sign.
 
     Uses ``n`` Hadamards, ``n*(n-1)/2`` controlled phases with angles
@@ -47,9 +47,15 @@ def build_qft(n: int, sign: int = FORWARD) -> Circuit:
     return circuit
 
 
-def build_iqft(n: int, sign: int = FORWARD) -> Circuit:
-    """Exact adjoint of ``build_qft(n, sign)``."""
-    return build_qft(n, sign).inverse()
+def build_qft(n: int) -> Circuit:
+    """Forward (sign -1) Fourier-transform circuit on ``n`` qubits."""
+    return _qft(n, FORWARD)
+
+
+def build_iqft(n: int) -> Circuit:
+    """Exact adjoint of ``build_qft(n)``: Hadamards and swaps are
+    self-inverse, so reversing the sign +1 transform negates every phase."""
+    return Circuit(n, reversed(_qft(n, BACKWARD).gates))
 
 
 @lru_cache(maxsize=8)

@@ -38,15 +38,13 @@ class SampleCounts:
         return self.counts / float(self.total_shots)
 
 
-def _axis(n_qubits: int, qubit: int) -> int:
-    # reshape((2,)*n) puts qubit n-1 on axis 0 and qubit 0 on the last axis
-    return n_qubits - 1 - qubit
-
-
-def _ones_selector(n_qubits: int, qubits: tuple[int, ...]) -> tuple:
+def _select(n_qubits: int, bits: dict[int, int]) -> tuple:
+    """Index of the ``(2,) * n_qubits`` view where each qubit in ``bits``
+    holds its bit."""
     sel: list = [slice(None)] * n_qubits
-    for q in qubits:
-        sel[_axis(n_qubits, q)] = 1
+    for qubit, bit in bits.items():
+        # reshape((2,)*n) puts qubit n-1 on axis 0 and qubit 0 on the last axis
+        sel[n_qubits - 1 - qubit] = bit
     return tuple(sel)
 
 
@@ -55,23 +53,16 @@ def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
         raise ValueError(f"gate {gate} exceeds register of {n_qubits} qubits")
     view = amplitudes.reshape((2,) * n_qubits)
     if isinstance(gate, Hadamard):
-        ax = _axis(n_qubits, gate.target)
-        lo: list = [slice(None)] * n_qubits
-        hi: list = [slice(None)] * n_qubits
-        lo[ax], hi[ax] = 0, 1
-        lo_t, hi_t = tuple(lo), tuple(hi)
-        a = view[lo_t].copy()
-        b = view[hi_t]
-        view[lo_t] = (a + b) * _INV_SQRT2
-        view[hi_t] = (a - b) * _INV_SQRT2
+        lo, hi = _select(n_qubits, {gate.target: 0}), _select(n_qubits, {gate.target: 1})
+        a = view[lo].copy()
+        b = view[hi]
+        view[lo] = (a + b) * _INV_SQRT2
+        view[hi] = (a - b) * _INV_SQRT2
     elif isinstance(gate, PhaseGate):
-        view[_ones_selector(n_qubits, gate.qubits)] *= np.exp(1j * gate.phi)
+        view[_select(n_qubits, dict.fromkeys(gate.qubits, 1))] *= np.exp(1j * gate.phi)
     elif isinstance(gate, Swap):
-        sel01: list = [slice(None)] * n_qubits
-        sel10: list = [slice(None)] * n_qubits
-        sel01[_axis(n_qubits, gate.a)], sel01[_axis(n_qubits, gate.b)] = 0, 1
-        sel10[_axis(n_qubits, gate.a)], sel10[_axis(n_qubits, gate.b)] = 1, 0
-        t01, t10 = tuple(sel01), tuple(sel10)
+        t01 = _select(n_qubits, {gate.a: 0, gate.b: 1})
+        t10 = _select(n_qubits, {gate.a: 1, gate.b: 0})
         tmp = view[t01].copy()
         view[t01] = view[t10]
         view[t10] = tmp
@@ -121,14 +112,8 @@ class StateVector:
         """Collapse probability of each basis index, ``|amplitude|**2``."""
         return np.abs(self.amplitudes) ** 2
 
-    def apply(self, gate: Gate) -> "StateVector":
-        """State after one gate; norm is preserved."""
-        amplitudes = self.amplitudes.copy()
-        _apply_inplace(amplitudes, self.n_qubits, gate)
-        return StateVector(self.n_qubits, amplitudes)
-
     def apply_sequence(self, gates) -> "StateVector":
-        """State after a gate sequence, applied in order."""
+        """State after a gate sequence, applied in order; norm is preserved."""
         amplitudes = self.amplitudes.copy()
         for gate in gates:
             _apply_inplace(amplitudes, self.n_qubits, gate)

@@ -53,7 +53,8 @@ def test_criterion_1_decomposition_exactness():
             terms = decompose_monomial(n, p)
             for b in range(2**n):
                 total = sum(
-                    t.coefficient * int(all((b >> j) & 1 for j in t.qubits)) for t in terms
+                    coefficient * int(all((b >> j) & 1 for j in qubits))
+                    for qubits, coefficient in terms
                 )
                 assert total == signed_value(b, n) ** p, (n, p, b)
                 checked += 1

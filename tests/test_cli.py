@@ -401,6 +401,10 @@ class TestInputContract:
             ("double-slit", {"shots": 0}),
             ("gaussian-2d", {"sims": 1.5}),
             ("error-analysis", {"z": [0.0, float("inf")]}),
+            ("double-slit", {"shots": 1e30}),
+            ("gaussian-2d", {"sweep_shots": [1e30]}),
+            ("gate-count", {"order": 2.5}),
+            ("export-qasm", {"order": 2.5}),
         ],
     )
     def test_config_value_out_of_bounds(self, tmp_path, capsys, command, payload):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbpm import (
     BACKWARD,
@@ -9,7 +11,6 @@ from qbpm import (
     Field,
     FORWARD,
     GridSpec,
-    MonomialTerm,
     PhaseGate,
     StateVector,
     build_monomial_propagator,
@@ -35,7 +36,7 @@ def signed_value(b, n):
 
 
 def term_sum(terms, b):
-    return sum(t.coefficient * int(all((b >> j) & 1 for j in t.qubits)) for t in terms)
+    return sum(c * int(all((b >> j) & 1 for j in qubits)) for qubits, c in terms)
 
 
 class TestDecomposeMonomial:
@@ -44,18 +45,18 @@ class TestDecomposeMonomial:
         assert signed_index_weights(1) == [-1]
 
     def test_smallest_quadratic_case(self):
-        assert decompose_monomial(1, 2) == [MonomialTerm((0,), 1)]
+        assert decompose_monomial(1, 2) == [((0,), 1)]
 
     def test_linear_is_the_weight_vector(self):
         assert decompose_monomial(4, 1) == [
-            MonomialTerm((0,), 1),
-            MonomialTerm((1,), 2),
-            MonomialTerm((2,), 4),
-            MonomialTerm((3,), -8),
+            ((0,), 1),
+            ((1,), 2),
+            ((2,), 4),
+            ((3,), -8),
         ]
 
     def test_three_qubit_quadratic_terms(self):
-        terms = {t.qubits: t.coefficient for t in decompose_monomial(3, 2)}
+        terms = dict(decompose_monomial(3, 2))
         assert terms == {
             (0,): 1,
             (1,): 4,
@@ -78,9 +79,17 @@ class TestDecomposeMonomial:
             for b in range(2**n):
                 assert term_sum(terms, b) == signed_value(b, n) ** 4
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 4), st.data())
+    def test_exact_at_random_signed_values(self, n, p, data):
+        half = 2 ** (n - 1)
+        terms = decompose_monomial(n, p)
+        for g in data.draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=20)):
+            assert term_sum(terms, g % 2**n) == g**p
+
     def test_subset_sizes_bounded_by_order(self):
         for p in (2, 3, 4):
-            assert max(len(t.qubits) for t in decompose_monomial(6, p)) <= p
+            assert max(len(qubits) for qubits, _ in decompose_monomial(6, p)) <= p
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -99,9 +108,9 @@ class TestDecomposeMonomial:
 class TestBuildMonomialPropagator:
     def test_gate_kinds_follow_subset_size(self):
         circuit = build_monomial_propagator(4, 3, 0.2)
-        for gate, term in zip(circuit, decompose_monomial(4, 3)):
+        for gate, (qubits, _) in zip(circuit, decompose_monomial(4, 3)):
             assert isinstance(gate, PhaseGate)
-            assert gate.qubits == term.qubits
+            assert gate.qubits == qubits
         counts = circuit.gate_count()
         assert counts["Phase"] == 4
         assert counts["ControlledPhase"] == 6
@@ -206,6 +215,18 @@ class TestQbpmCircuit1d:
                 quantum = build_qbpm_circuit(8, grid, 1e-6, z).run(state)
                 classical = propagate_1d(Field((grid,), state.amplitudes), 1e-6, z)
                 assert np.max(np.abs(quantum.amplitudes - classical.values)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_classical_up_to_z_crit(self, n, fraction, seed):
+        # beyond z_crit = N dx**2 / wavelength the periodic window wraps around
+        grid = GridSpec(2**n, 1e-5)
+        wavelength = 1e-6
+        z = fraction * grid.n_points * grid.dx**2 / wavelength
+        state = random_state(n, seed)
+        quantum = build_qbpm_circuit(n, grid, wavelength, z).run(state)
+        classical = propagate_1d(Field((grid,), state.amplitudes), wavelength, z)
+        assert np.max(np.abs(quantum.amplitudes - classical.values)) < 1e-9
 
     def test_semigroup_in_distance(self):
         grid = GridSpec(128, 1e-5)

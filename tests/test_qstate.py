@@ -63,41 +63,41 @@ class TestConstruction:
 
 class TestGateAction:
     def test_hadamard_on_zero(self):
-        out = StateVector.basis_state(1).apply(Hadamard(0))
+        out = StateVector.basis_state(1).apply_sequence([Hadamard(0)])
         assert np.allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2])
 
     def test_phase_pi_is_z(self):
         plus = StateVector.from_amplitudes([1, 1])
-        out = plus.apply(PhaseGate((0,), np.pi))
+        out = plus.apply_sequence([PhaseGate((0,), np.pi)])
         assert np.allclose(out.amplitudes, [INV_SQRT2, -INV_SQRT2])
 
     def test_controlled_phase_condition(self):
         phi = 0.731
-        on = StateVector.basis_state(2, 0b11).apply(PhaseGate((1, 0), phi))
+        on = StateVector.basis_state(2, 0b11).apply_sequence([PhaseGate((1, 0), phi)])
         assert on.amplitudes[0b11] == pytest.approx(np.exp(1j * phi))
-        off = StateVector.basis_state(2, 0b01).apply(PhaseGate((1, 0), phi))
+        off = StateVector.basis_state(2, 0b01).apply_sequence([PhaseGate((1, 0), phi)])
         assert off.amplitudes[0b01] == 1.0
 
     def test_multi_controlled_phase_condition(self):
         gate = PhaseGate((0, 1, 2), 0.5)
-        fires = StateVector.basis_state(3, 0b111).apply(gate)
+        fires = StateVector.basis_state(3, 0b111).apply_sequence([gate])
         assert fires.amplitudes[0b111] == pytest.approx(np.exp(0.5j))
-        idle = StateVector.basis_state(3, 0b101).apply(gate)
+        idle = StateVector.basis_state(3, 0b101).apply_sequence([gate])
         assert idle.amplitudes[0b101] == 1.0
 
     def test_swap_exchanges_bits(self):
-        out = StateVector.basis_state(3, 0b001).apply(Swap(0, 2))
+        out = StateVector.basis_state(3, 0b001).apply_sequence([Swap(0, 2)])
         assert out.amplitudes[0b100] == 1.0
 
     def test_apply_does_not_mutate_input(self):
         state = random_state(3, seed=20)
         before = state.amplitudes.copy()
-        state.apply(Hadamard(1))
+        state.apply_sequence([Hadamard(1)])
         assert np.array_equal(state.amplitudes, before)
 
     def test_gate_out_of_range(self):
         with pytest.raises(ValueError):
-            StateVector.basis_state(2).apply(Hadamard(2))
+            StateVector.basis_state(2).apply_sequence([Hadamard(2)])
 
     def test_norm_preserved_over_ten_thousand_gates(self):
         rng = np.random.default_rng(21)
