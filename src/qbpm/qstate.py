@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -48,9 +49,13 @@ def _select(n_qubits: int, bits: dict[int, int]) -> tuple:
     return tuple(sel)
 
 
-def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
+def _check_register(gate: Gate, n_qubits: int) -> None:
     if max(gate.qubits) >= n_qubits:
         raise ValueError(f"gate {gate} exceeds register of {n_qubits} qubits")
+
+
+def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
+    _check_register(gate, n_qubits)
     view = amplitudes.reshape((2,) * n_qubits)
     if isinstance(gate, Hadamard):
         lo, hi = _select(n_qubits, {gate.target: 0}), _select(n_qubits, {gate.target: 1})
@@ -68,6 +73,28 @@ def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
         view[t10] = tmp
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
+
+
+def _apply_phase_run(amplitudes: np.ndarray, n_qubits: int, gates: list[PhaseGate]) -> None:
+    """Apply a run of phase gates as one diagonal ``exp(i * theta)``.
+
+    ``theta[b]`` sums the ``phi`` of every gate whose qubits are all 1 in
+    ``b``: each ``phi`` is scattered to its gate's qubit mask, then a
+    subset-sum (zeta) transform, one pass per qubit, adds every mask's
+    total into all its supersets.
+    """
+    masks = np.empty(len(gates), dtype=np.intp)
+    for i, gate in enumerate(gates):
+        _check_register(gate, n_qubits)
+        masks[i] = sum(1 << q for q in gate.qubits)
+    theta = np.bincount(masks, weights=[gate.phi for gate in gates], minlength=1 << n_qubits)
+    for q in range(n_qubits):
+        halves = theta.reshape(-1, 2, 1 << q)
+        halves[:, 1, :] += halves[:, 0, :]
+    # free theta and exponentiate in place: one complex temporary at a time
+    phase = theta * 1j
+    del theta
+    amplitudes *= np.exp(phase, out=phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +140,22 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
     def apply_sequence(self, gates) -> "StateVector":
-        """State after a gate sequence, applied in order; norm is preserved."""
+        """State after a gate sequence, applied in order; norm is preserved.
+
+        A run of more than ``n_qubits`` consecutive phase gates is applied
+        as one diagonal; its ``n_qubits`` transform passes would cost more
+        than a shorter run gate by gate.
+        """
+        n = self.n_qubits
         amplitudes = self.amplitudes.copy()
-        for gate in gates:
-            _apply_inplace(amplitudes, self.n_qubits, gate)
-        return StateVector(self.n_qubits, amplitudes)
+        for is_phase, run in groupby(gates, key=lambda gate: isinstance(gate, PhaseGate)):
+            run = list(run)
+            if is_phase and len(run) > n:
+                _apply_phase_run(amplitudes, n, run)
+            else:
+                for gate in run:
+                    _apply_inplace(amplitudes, n, gate)
+        return StateVector(n, amplitudes)
 
     @cached_property
     def _sampling_distribution(self) -> np.ndarray:

@@ -10,6 +10,8 @@ from qbpm import (
     SampleCounts,
     StateVector,
     Swap,
+    build_monomial_propagator,
+    diagonal_oracle,
     double_slit_initial,
 )
 
@@ -126,6 +128,100 @@ class TestGateAction:
             leaked[index] = 0.0
             assert leaked.max() < 1e-14
             assert abs(abs(out.amplitudes[index]) - 1.0) < 1e-14
+
+
+def random_phase_run(n, length, rng):
+    """``length`` phase gates of arity 1..4 on random qubits of an n-qubit register."""
+    gates = []
+    for _ in range(length):
+        arity = int(rng.integers(1, min(4, n) + 1))
+        qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
+        gates.append(PhaseGate(qubits, float(rng.uniform(-np.pi, np.pi))))
+    return gates
+
+
+def one_gate_at_a_time(state, gates):
+    for gate in gates:
+        state = state.apply_sequence([gate])
+    return state
+
+
+class TestFusedPhaseRuns:
+    """A run of more than n phase gates is applied as one diagonal.
+
+    The fused diagonal sums phases before one exp, where the per-gate path
+    multiplies one exp per gate, so the two agree to rounding, not bit for
+    bit.  The bound is the 1e-12 synthesis tolerance; with random phases
+    the two diagonals are about 1e-14 apart at n = 12.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        segments=st.lists(
+            st.one_of(
+                st.just("hadamard"),
+                st.just("swap"),
+                st.integers(1, 36),  # a phase run of this length, capped at 3n
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_sequence_matches_per_gate(self, n, segments, seed):
+        rng = np.random.default_rng(seed)
+        gates = []
+        for segment in segments:
+            if segment == "hadamard":
+                gates.append(Hadamard(int(rng.integers(n))))
+            elif segment == "swap":
+                if n >= 2:
+                    a, b = rng.choice(n, size=2, replace=False)
+                    gates.append(Swap(int(a), int(b)))
+            else:
+                gates.extend(random_phase_run(n, min(segment, 3 * n), rng))
+        state = random_state(n, seed)
+        fused = state.apply_sequence(gates)
+        assert np.max(np.abs(fused.amplitudes - one_gate_at_a_time(state, gates).amplitudes)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        phis=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    )
+    def test_monomial_propagators_match_oracle(self, n, phis):
+        phase_by_order = dict(zip((1, 2, 3, 4), phis))
+        gates = []
+        for p, phi in phase_by_order.items():
+            gates.extend(build_monomial_propagator(n, p, phi).gates)
+        uniform = StateVector.from_amplitudes(np.ones(2**n))
+        out = uniform.apply_sequence(gates)
+        expected = diagonal_oracle(n, phase_by_order) / np.sqrt(2**n)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+    def test_out_of_range_gate_in_long_run(self):
+        n = 4
+        gates = random_phase_run(n, 3 * n, np.random.default_rng(40))
+        bad = PhaseGate((1, n), 0.3)
+        gates.insert(5, bad)
+        state = random_state(n, seed=41)
+        before = state.amplitudes.copy()
+        with pytest.raises(ValueError) as per_gate:
+            one_gate_at_a_time(state, gates)
+        with pytest.raises(ValueError) as fused:
+            state.apply_sequence(gates)
+        assert str(fused.value) == str(per_gate.value) == f"gate {bad} exceeds register of {n} qubits"
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_generator_with_hadamard_between_long_runs(self):
+        n = 5
+        rng = np.random.default_rng(42)
+        gates = random_phase_run(n, 2 * n, rng) + [Hadamard(2)] + random_phase_run(n, 2 * n, rng)
+        state = random_state(n, seed=43)
+        fused = state.apply_sequence(gate for gate in gates)
+        per_gate = one_gate_at_a_time(state, gates)
+        assert np.max(np.abs(fused.amplitudes - per_gate.amplitudes)) <= 1e-12
 
 
 class TestProbabilities:
