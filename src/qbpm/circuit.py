@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -34,6 +35,8 @@ def scaled_phase(phi: float, coefficient: int) -> float:
     as ``2**(n+l)`` would otherwise push the reduction error well above
     the per-gate phase accuracy the diagonal synthesis relies on.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     x = Fraction(phi) * coefficient
     m = round(x / _TWO_PI_EXACT)
     return fold_phase(float(x - m * _TWO_PI_EXACT))
@@ -41,6 +44,9 @@ def scaled_phase(phi: float, coefficient: int) -> float:
 
 def _check_indices(*indices: int) -> None:
     for q in indices:
+        # bool is an Integral, but would export as q[True]
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+            raise ValueError(f"qubit index must be an integer, got {q!r}")
         if q < 0:
             raise ValueError(f"qubit index must be non-negative, got {q}")
     if len(set(indices)) != len(indices):
@@ -76,6 +82,8 @@ class PhaseGate:
         if not qubits:
             raise ValueError("a phase gate needs at least one qubit")
         _check_indices(*qubits)
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase must be finite, got {self.phi}")
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "phi", fold_phase(self.phi))
 

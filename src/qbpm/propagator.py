@@ -11,6 +11,7 @@ sign-bit terms themselves; no index reshuffling happens anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -32,9 +33,11 @@ class DispersionPolynomial:
 
     def __post_init__(self) -> None:
         orders = dict(self.orders)
-        for p in orders:
+        for p, c in orders.items():
             if not isinstance(p, int) or not 1 <= p <= MAX_ORDER:
                 raise ValueError(f"polynomial order must be an integer in 1..{MAX_ORDER}, got {p}")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of order {p} must be finite, got {c}")
         object.__setattr__(self, "orders", orders)
 
     @classmethod

@@ -1,6 +1,7 @@
 """Dense statevector register with gate application and basis sampling."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -39,16 +40,6 @@ class SampleCounts:
         return self.counts / float(self.total_shots)
 
 
-def _select(n_qubits: int, bits: dict[int, int]) -> tuple:
-    """Index of the ``(2,) * n_qubits`` view where each qubit in ``bits``
-    holds its bit."""
-    sel: list = [slice(None)] * n_qubits
-    for qubit, bit in bits.items():
-        # reshape((2,)*n) puts qubit n-1 on axis 0 and qubit 0 on the last axis
-        sel[n_qubits - 1 - qubit] = bit
-    return tuple(sel)
-
-
 def _check_register(gate: Gate, n_qubits: int) -> None:
     if max(gate.qubits) >= n_qubits:
         raise ValueError(f"gate {gate} exceeds register of {n_qubits} qubits")
@@ -56,21 +47,18 @@ def _check_register(gate: Gate, n_qubits: int) -> None:
 
 def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
     _check_register(gate, n_qubits)
-    view = amplitudes.reshape((2,) * n_qubits)
     if isinstance(gate, Hadamard):
-        lo, hi = _select(n_qubits, {gate.target: 0}), _select(n_qubits, {gate.target: 1})
-        a = view[lo].copy()
-        b = view[hi]
-        view[lo] = (a + b) * _INV_SQRT2
-        view[hi] = (a - b) * _INV_SQRT2
-    elif isinstance(gate, PhaseGate):
-        view[_select(n_qubits, dict.fromkeys(gate.qubits, 1))] *= np.exp(1j * gate.phi)
+        halves = amplitudes.reshape(-1, 2, 1 << gate.target)
+        a = halves[:, 0, :].copy()
+        b = halves[:, 1, :]
+        halves[:, 0, :] = (a + b) * _INV_SQRT2
+        halves[:, 1, :] = (a - b) * _INV_SQRT2
     elif isinstance(gate, Swap):
-        t01 = _select(n_qubits, {gate.a: 0, gate.b: 1})
-        t10 = _select(n_qubits, {gate.a: 1, gate.b: 0})
-        tmp = view[t01].copy()
-        view[t01] = view[t10]
-        view[t10] = tmp
+        lo, hi = sorted((gate.a, gate.b))
+        view = amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        tmp = view[:, 0, :, 1, :].copy()
+        view[:, 0, :, 1, :] = view[:, 1, :, 0, :]
+        view[:, 1, :, 0, :] = tmp
     else:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
 
@@ -81,20 +69,23 @@ def _apply_phase_run(amplitudes: np.ndarray, n_qubits: int, gates: list[PhaseGat
     ``theta[b]`` sums the ``phi`` of every gate whose qubits are all 1 in
     ``b``: each ``phi`` is scattered to its gate's qubit mask, then a
     subset-sum (zeta) transform, one pass per qubit, adds every mask's
-    total into all its supersets.
+    total into all its supersets.  ``theta`` spans only the qubits up to
+    the highest one the run touches and broadcasts over the rest.
     """
     masks = np.empty(len(gates), dtype=np.intp)
     for i, gate in enumerate(gates):
         _check_register(gate, n_qubits)
         masks[i] = sum(1 << q for q in gate.qubits)
-    theta = np.bincount(masks, weights=[gate.phi for gate in gates], minlength=1 << n_qubits)
-    for q in range(n_qubits):
+    span = int(masks.max()).bit_length()
+    theta = np.bincount(masks, weights=[gate.phi for gate in gates], minlength=1 << span)
+    for q in range(span):
         halves = theta.reshape(-1, 2, 1 << q)
         halves[:, 1, :] += halves[:, 0, :]
     # free theta and exponentiate in place: one complex temporary at a time
     phase = theta * 1j
     del theta
-    amplitudes *= np.exp(phase, out=phase)
+    rows = amplitudes.reshape(-1, 1 << span)
+    rows *= np.exp(phase, out=phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +115,10 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int = 0) -> "StateVector":
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        if not 0 <= index < 1 << n_qubits:
+            raise ValueError(f"index must be in 0..{(1 << n_qubits) - 1}, got {index}")
         amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
         amplitudes[index] = 1.0
         return cls(n_qubits, amplitudes)
@@ -142,16 +137,14 @@ class StateVector:
     def apply_sequence(self, gates) -> "StateVector":
         """State after a gate sequence, applied in order; norm is preserved.
 
-        A run of more than ``n_qubits`` consecutive phase gates is applied
-        as one diagonal; its ``n_qubits`` transform passes would cost more
-        than a shorter run gate by gate.
+        Each maximal run of consecutive phase gates is applied as one
+        diagonal.
         """
         n = self.n_qubits
         amplitudes = self.amplitudes.copy()
         for is_phase, run in groupby(gates, key=lambda gate: isinstance(gate, PhaseGate)):
-            run = list(run)
-            if is_phase and len(run) > n:
-                _apply_phase_run(amplitudes, n, run)
+            if is_phase:
+                _apply_phase_run(amplitudes, n, list(run))
             else:
                 for gate in run:
                     _apply_inplace(amplitudes, n, gate)
@@ -165,7 +158,7 @@ class StateVector:
 
     def sample(self, n_shots: int, seed: int) -> SampleCounts:
         """Multinomial draw of ``n_shots`` basis indices; deterministic per seed."""
-        if n_shots < 1:
-            raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+        if not isinstance(n_shots, numbers.Integral) or n_shots < 1:
+            raise ValueError(f"n_shots must be an integer >= 1, got {n_shots!r}")
         draws = np.random.default_rng(seed).multinomial(n_shots, self._sampling_distribution)
         return SampleCounts(draws, n_shots)

@@ -72,6 +72,35 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Hadamard(-1)
 
+    @pytest.mark.parametrize(
+        "gate_type, args, bad",
+        [
+            (PhaseGate, ((0.5,), 1.0), "0.5"),
+            (Hadamard, (1.0,), "1.0"),
+            (Swap, (0, 2.0), "2.0"),
+            (Hadamard, (True,), "True"),
+        ],
+        ids=["phase", "hadamard", "swap", "bool"],
+    )
+    def test_non_integer_index_rejected(self, gate_type, args, bad):
+        with pytest.raises(ValueError, match=f"qubit index must be an integer, got {bad}"):
+            gate_type(*args)
+
+    def test_numpy_integer_index_accepted(self):
+        gates = [Hadamard(np.int64(3)), Swap(np.int32(0), 1), PhaseGate((np.int64(2),), 0.5)]
+        assert Circuit(4, gates).to_qasm_text().splitlines()[3:] == [
+            "h q[3];",
+            "swap q[0],q[1];",
+            "p(0.5) q[2];",
+        ]
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            PhaseGate((0,), phi)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            scaled_phase(phi, 3)
+
     def test_empty_controls_rejected(self):
         with pytest.raises(ValueError):
             PhaseGate((), 0.1)

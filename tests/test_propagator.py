@@ -199,6 +199,17 @@ class TestDispersionPolynomial:
         with pytest.raises(ValueError):
             DispersionPolynomial({5: 1.0})
 
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficient(self, coefficient):
+        with pytest.raises(ValueError, match="coefficient of order 3 must be finite"):
+            DispersionPolynomial({2: 1.0, 3: coefficient})
+
+    def test_overflowing_phase_rejected(self):
+        # each factor is finite; c * d_alpha**2 * z overflows to inf
+        poly = DispersionPolynomial({2: 1e308})
+        with pytest.raises(ValueError, match="phase must be finite"):
+            build_qbpm_circuit(8, GridSpec(256, 1e-5), 532e-9, 1e300, poly)
+
 
 class TestQbpmCircuit1d:
     def test_zero_distance_is_identity(self):

@@ -57,6 +57,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StateVector.from_amplitudes([np.nan, 1.0])
 
+    @pytest.mark.parametrize("n_qubits, index", [(0, 0), (3, -1), (3, 8)])
+    def test_basis_state_rejects_bad_arguments(self, n_qubits, index):
+        with pytest.raises(ValueError):
+            StateVector.basis_state(n_qubits, index)
+
     def test_equality_is_identity_and_does_not_raise(self):
         state = StateVector.basis_state(2)
         assert (state == StateVector.basis_state(2)) is False
@@ -141,19 +146,44 @@ def random_phase_run(n, length, rng):
 
 
 def one_gate_at_a_time(state, gates):
+    """Reference: each phase gate as its own dense diagonal, the others
+    through ``apply_sequence``."""
+    idx = np.arange(state.n_states)
     for gate in gates:
-        state = state.apply_sequence([gate])
+        if isinstance(gate, PhaseGate):
+            mask = sum(1 << q for q in gate.qubits)
+            diagonal = np.where((idx & mask) == mask, np.exp(1j * gate.phi), 1)
+            state = StateVector(state.n_qubits, state.amplitudes * diagonal)
+        else:
+            state = state.apply_sequence([gate])
     return state
 
 
 class TestFusedPhaseRuns:
-    """A run of more than n phase gates is applied as one diagonal.
+    """Every run of phase gates is applied as one diagonal.
 
-    The fused diagonal sums phases before one exp, where the per-gate path
-    multiplies one exp per gate, so the two agree to rounding, not bit for
-    bit.  The bound is the 1e-12 synthesis tolerance; with random phases
-    the two diagonals are about 1e-14 apart at n = 12.
+    The fused diagonal sums phases before one exp, where the reference
+    multiplies one dense diagonal per gate, so the two agree to rounding,
+    not bit for bit.  The bound is the 1e-12 synthesis tolerance; with
+    random phases the two are about 1e-14 apart at n = 12.
     """
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            [PhaseGate((0,), 0.7)],
+            [PhaseGate((0, 11), -1.3)],
+            [PhaseGate((3, 6), 2.9)],
+            [Hadamard(9)]
+            + random_phase_run(7, 20, np.random.default_rng(44))
+            + [Hadamard(11)],
+        ],
+        ids=["lone-0", "lone-0-11", "lone-3-6", "run-0-6-between-hadamards"],
+    )
+    def test_partial_span_matches_dense_diagonal(self, gates):
+        state = random_state(12, seed=45)
+        fused = state.apply_sequence(gates)
+        assert np.max(np.abs(fused.amplitudes - one_gate_at_a_time(state, gates).amplitudes)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -207,11 +237,9 @@ class TestFusedPhaseRuns:
         gates.insert(5, bad)
         state = random_state(n, seed=41)
         before = state.amplitudes.copy()
-        with pytest.raises(ValueError) as per_gate:
-            one_gate_at_a_time(state, gates)
         with pytest.raises(ValueError) as fused:
             state.apply_sequence(gates)
-        assert str(fused.value) == str(per_gate.value) == f"gate {bad} exceeds register of {n} qubits"
+        assert str(fused.value) == f"gate {bad} exceeds register of {n} qubits"
         assert np.array_equal(state.amplitudes, before)
 
     def test_generator_with_hadamard_between_long_runs(self):
@@ -286,6 +314,14 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             StateVector.basis_state(1).sample(0, seed=0)
+
+    @pytest.mark.parametrize("n_shots", [-1, 2.5, 3.0])
+    def test_bad_shot_count_rejected(self, n_shots):
+        with pytest.raises(ValueError, match="n_shots must be an integer >= 1"):
+            StateVector.basis_state(1).sample(n_shots, seed=0)
+
+    def test_numpy_integer_shot_count_accepted(self):
+        assert StateVector.basis_state(1).sample(np.int64(5), seed=0).counts.tolist() == [5, 0]
 
     @settings(max_examples=40, deadline=None)
     @given(
