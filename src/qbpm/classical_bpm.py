@@ -109,12 +109,23 @@ def check_propagation_args(wavelength: float, z: float) -> float:
     return k
 
 
+def _transfer(freq_squared: np.ndarray, k: float, z: float) -> np.ndarray:
+    """``exp(-i alpha**2 z / (2 k))`` at every frequency; a ``z`` so large
+    that the phase overflows raises.  Apart from ``_propagate`` so that the
+    phase array is freed before the inverse FFT."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = -1j * freq_squared * z / (2.0 * k)
+    if not np.isfinite(phase).all():
+        raise ValueError(f"propagation distance z = {z} overflows the transfer phase")
+    return np.exp(phase)
+
+
 def _propagate(field: Field, wavelength: float, z: float) -> Field:
     k = check_propagation_args(wavelength, z)
     # values[iy, ix]: the x frequencies run along the last axis
     freq_squared = sum(f**2 for f in np.ix_(*(g.frequencies() for g in reversed(field.grids))))
     spectrum = np.fft.fftn(field.values, norm="ortho")
-    spectrum *= np.exp(-1j * freq_squared * z / (2.0 * k))
+    spectrum *= _transfer(freq_squared, k, z)
     return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))
 
 

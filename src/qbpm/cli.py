@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__, classical_bpm
 from .circuit import MAX_QUBITS
 from .classical_bpm import Field, GridSpec
-from .propagator import DispersionPolynomial, build_qbpm_circuit, decompose_monomial
+from .propagator import DispersionPolynomial, build_monomial_propagator, build_qbpm_circuit
 from .qft import build_iqft, build_qft
 from .qstate import StateVector
 from .scenarios import (
@@ -43,14 +44,6 @@ class VerificationError(Exception):
     """Numeric check requested by the user failed."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 # rows per tolist() block: a whole-array tolist() would hold every value as
 # a Python float at once
 _CSV_BLOCK = 1024
@@ -58,17 +51,15 @@ _CSV_BLOCK = 1024
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``rows`` under ``header``: a 2-D float array, or tuples of
-    str, int and float values."""
+    str, int and float values; each cell as its ``str`` (a float's repr)."""
+    if isinstance(rows, np.ndarray):
+        blocks = np.split(rows, range(_CSV_BLOCK, len(rows), _CSV_BLOCK))
+        rows = chain.from_iterable(block.tolist() for block in blocks)
+    # "%s" is str() of the cell, and costs less per row than map(str, row)
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-            # repr(float) is what _fmt writes for a float
-            for start in range(0, len(rows), _CSV_BLOCK):
-                for row in rows[start : start + _CSV_BLOCK].tolist():
-                    fh.write(",".join(map(repr, row)) + "\n")
-        else:
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -159,6 +150,11 @@ _CHOICES = {"format": ("csv", "json"), "scenario": ("double-slit", "gaussian-2d"
 _BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "order": 1, "z": 0.0, "zr": 0.0}
 _INT64_MAX = 2**63 - 1
 
+# length, wavelength and tolerance keys: positive and finite when set
+_POSITIVE = (
+    "wavelength", "slit_separation", "slit_width", "domain_length", "waist", "dx", "tolerance"
+)
+
 _HELP = {
     "qubits": "register size (per axis for gaussian-2d)",
     "shots": "measurement shots",
@@ -240,23 +236,19 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 )
             if isinstance(low, int) and not (low <= value <= _INT64_MAX and value == int(value)):
                 raise ValueError(f"{key} must be an integer in {low}..{_INT64_MAX}, got {value}")
+    for key, value in config.items():
+        if key in _POSITIVE and value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
+    n = config.get("qubits")
+    # gate-count and export-qasm size one register, as the double slit does
+    _, _, limit, what = _SCENARIOS.get(config.get("scenario", command), _SCENARIOS["double-slit"])
+    if n is not None and not (1 <= n <= limit and float(n).is_integer()):
+        raise ValueError(f"{what} must be an integer in 1..{limit}, got {n}")
     return config
 
 
-def _qubits(n, limit: int = MAX_QUBITS, what: str = "qubits") -> int:
-    if not 1 <= n <= limit or not float(n).is_integer():
-        raise ValueError(f"{what} must be an integer in 1..{limit}, got {n}")
-    return int(n)
-
-
-def _check_positive(config: dict, keys: tuple[str, ...]) -> None:
-    for key in keys:
-        if not 0.0 < float(config[key]) < math.inf:
-            raise ValueError(f"{key} must be positive and finite, got {config[key]}")
-
-
 # per scenario: its reference parameters, the field that the config key
-# "qubits" sets, and that field's limit and name in messages
+# "qubits" sets, and that key's limit and name in messages
 _SCENARIOS = {
     "double-slit": (DEFAULT_DOUBLE_SLIT, "n_qubits", MAX_QUBITS, "qubits"),
     "gaussian-2d": (DEFAULT_GAUSSIAN_2D, "n_qubits_per_axis", MAX_QUBITS // 2, "qubits per axis"),
@@ -267,14 +259,28 @@ def _scenario(name: str, config: dict):
     """Scenario ``name``'s reference parameters with each non-null config
     value put in: the keys named like a parameter, and ``qubits``; a null
     value keeps the reference value."""
-    default, qubits_field, limit, what = _SCENARIOS[name]
+    default, qubits_field, _, _ = _SCENARIOS[name]
     names = {field.name for field in fields(default)}
-    keys = tuple(key for key, value in config.items() if key in names and value is not None)
-    _check_positive(config, keys)
-    overrides = {key: float(config[key]) for key in keys}
+    overrides = {
+        key: float(value) for key, value in config.items() if key in names and value is not None
+    }
     if config["qubits"] is not None:
-        overrides[qubits_field] = _qubits(config["qubits"], limit, what)
+        overrides[qubits_field] = int(config["qubits"])
     return replace(default, **overrides)
+
+
+def _error_rows(params, first_column: dict, shots, config: dict) -> list[tuple]:
+    """The error-analysis table of ``params`` at each distance ``z`` that
+    keys ``first_column``, as rows ``(first_column[z], z, n_shots, n_sim,
+    mu, sigma)`` sorted by ``z`` and ``n_shots``."""
+    table = error_analysis(
+        params, list(first_column), [int(s) for s in shots], int(config["sims"]),
+        int(config["seed"]),
+    )
+    return [
+        (first_column[z], z, n_shots, stats.n_sim, stats.mu, stats.sigma)
+        for (z, n_shots), stats in sorted(table.items())
+    ]
 
 
 def _out_dir(command: str, config: dict) -> Path:
@@ -340,18 +346,11 @@ def cmd_gaussian_2d(config: dict) -> int:
         waist_rows.append((zr, z, w_q, w_ref, w_q - w_ref))
     _write_csv(out / "waist.csv", ["z_ratio", "z", "w_sampled", "w_reference", "error"], waist_rows)
 
-    sweep_rows = []
-    z_values = [float(zr) * z0 for zr in config["zr"]]
-    table = error_analysis(
-        params, z_values, [int(s) for s in config["sweep_shots"]], int(config["sims"]),
-        int(config["seed"]),
-    )
-    for (z, n_shots), stats in sorted(table.items()):
-        sweep_rows.append((z / z0 if z0 else 0.0, z, n_shots, stats.n_sim, stats.mu, stats.sigma))
+    z_ratios = {float(zr) * z0: float(zr) for zr in config["zr"]}
     _write_csv(
         out / "sigma_w.csv",
         ["z_ratio", "z", "n_shots", "n_sim", "mu_error", "sigma_w"],
-        sweep_rows,
+        _error_rows(params, z_ratios, config["sweep_shots"], config),
     )
     print(f"gaussian-2d: wrote {len(config['zr'])} intensity grids to {out}")
     return 0
@@ -376,7 +375,6 @@ def cmd_propagate(config: dict) -> int:
     """Propagate a user field on both paths and compare."""
     if not config["input"]:
         raise ValueError("propagate requires --input FILE with real,imaginary columns")
-    _check_positive(config, ("wavelength", "dx", "tolerance"))
     if len(config["z"]) != 1:
         raise ValueError("propagate expects exactly one --z value")
     z = float(config["z"][0])
@@ -392,6 +390,8 @@ def cmd_propagate(config: dict) -> int:
         Field((grid,), state0.amplitudes), float(config["wavelength"]), z
     )
     deviation = float(np.max(np.abs(quantum.amplitudes - classical.values)))
+    # a NaN deviation is within no tolerance
+    within_tolerance = deviation < float(config["tolerance"])
 
     out = _out_dir("propagate", config)
     for name, data in (("quantum", quantum.amplitudes), ("classical", classical.values)):
@@ -403,11 +403,11 @@ def cmd_propagate(config: dict) -> int:
             "max_abs_deviation": deviation,
             "tolerance": float(config["tolerance"]),
             "verified": bool(config["verify"]),
-            "within_tolerance": deviation < float(config["tolerance"]),
+            "within_tolerance": within_tolerance,
         },
     )
     print(f"propagate: max |quantum - classical| = {deviation:.3e}")
-    if config["verify"] and deviation >= float(config["tolerance"]):
+    if config["verify"] and not within_tolerance:
         raise VerificationError(
             f"deviation {deviation:.3e} exceeds tolerance {config['tolerance']:.3e}"
         )
@@ -423,18 +423,8 @@ def cmd_error_analysis(config: dict) -> int:
     else:
         z_values = [float(zr) * params.rayleigh_length for zr in config["zr"]]
 
-    table = error_analysis(
-        params,
-        z_values,
-        [int(s) for s in config["shots"]],
-        int(config["sims"]),
-        int(config["seed"]),
-    )
+    rows = _error_rows(params, dict.fromkeys(z_values, scenario_name), config["shots"], config)
     out = _out_dir("error-analysis", config)
-    rows = [
-        (scenario_name, z, n_shots, stats.n_sim, stats.mu, stats.sigma)
-        for (z, n_shots), stats in sorted(table.items())
-    ]
     _write_csv(
         out / "error_stats.csv", ["scenario", "z", "n_shots", "n_sim", "mu", "sigma"], rows
     )
@@ -454,11 +444,11 @@ def _fmt_kinds(counts: dict[str, int]) -> str:
 
 def cmd_gate_count(config: dict) -> int:
     """Exact gate counts and closed-form checks."""
-    n = _qubits(config["qubits"])
+    n = int(config["qubits"])
     p = int(config["order"])
     qft_counts = build_qft(n).gate_count()
     iqft_counts = build_iqft(n).gate_count()
-    propagator_total = len(decompose_monomial(n, p))
+    propagator_total = len(build_monomial_propagator(n, p, 0.0))
     qft_total = sum(qft_counts.values())
     lines = [
         f"qubits: {n}",
@@ -501,8 +491,7 @@ def cmd_gate_count(config: dict) -> int:
 
 def cmd_export_qasm(config: dict) -> int:
     """Write the propagation circuit as OpenQASM 2.0."""
-    _check_positive(config, ("wavelength", "domain_length"))
-    n = _qubits(config["qubits"])
+    n = int(config["qubits"])
     if len(config["z"]) != 1:
         raise ValueError("export-qasm expects exactly one --z value")
     grid = GridSpec.from_qubits(n, float(config["domain_length"]))

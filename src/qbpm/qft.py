@@ -21,6 +21,9 @@ from .classical_bpm import is_power_of_two
 FORWARD = -1
 BACKWARD = +1
 
+# largest oracle register: its dense matrix holds 4**12 complex values, 256 MiB
+_MAX_ORACLE_QUBITS = 12
+
 
 def _check_args(n: int, sign: int) -> None:
     if not 1 <= n <= MAX_QUBITS:
@@ -69,11 +72,13 @@ def dft_oracle(values, sign: int = FORWARD) -> np.ndarray:
     """Unitary-normalized discrete Fourier transform by dense matrix product.
 
     Deliberately independent of the circuit path; O(N**2) is acceptable at
-    verification scale.
+    verification scale, up to ``N = 2**12``.
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or not is_power_of_two(len(arr)) or len(arr) < 2:
         raise ValueError("input length must be a power of two >= 2")
     n = len(arr).bit_length() - 1
+    if n > _MAX_ORACLE_QUBITS:
+        raise ValueError(f"oracle supports at most {_MAX_ORACLE_QUBITS} qubits, got {n}")
     _check_args(n, sign)
     return _dft_matrix(n, sign) @ arr

@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import classical_bpm
+from .circuit import MAX_QUBITS
 from .classical_bpm import Field, GridSpec, rmse, wavenumber
 from .propagator import build_qbpm_circuit, build_qbpm_circuit_2d
 from .qstate import SampleCounts, StateVector
@@ -20,6 +21,13 @@ def _check_finite(params) -> None:
         value = getattr(params, field.name)
         if not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite, got {value}")
+
+
+def _check_qubits(name: str, value, limit: int) -> None:
+    """Reject a qubit count that is not an integer in ``1..limit``, so no
+    grid beyond the register budget is ever built."""
+    if not isinstance(value, (int, np.integer)) or not 1 <= value <= limit:
+        raise ValueError(f"{name} must be an integer in 1..{limit}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,14 +43,13 @@ class DoubleSlitParams:
 
     def __post_init__(self) -> None:
         _check_finite(self)
+        _check_qubits("n_qubits", self.n_qubits, MAX_QUBITS)
         if not (self.slit_separation > self.slit_width > 0.0):
             raise ValueError("need slit_separation > slit_width > 0")
         if not (self.slit_separation + self.slit_width < self.domain_length):
             raise ValueError("slits do not fit inside the domain")
         if not (self.wavelength > 0.0):
             raise ValueError("wavelength must be positive")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
 
     def make_grid(self) -> GridSpec:
         return GridSpec.from_qubits(self.n_qubits, self.domain_length)
@@ -102,12 +109,12 @@ class GaussianParams:
 
     def __post_init__(self) -> None:
         _check_finite(self)
+        # the register holds both axes
+        _check_qubits("n_qubits_per_axis", self.n_qubits_per_axis, MAX_QUBITS // 2)
         if not (self.waist > 0.0):
             raise ValueError("waist must be positive")
         if not (self.wavelength > 0.0):
             raise ValueError("wavelength must be positive")
-        if self.n_qubits_per_axis < 1:
-            raise ValueError("n_qubits_per_axis must be >= 1")
         if not (self.domain_length > 0.0):
             raise ValueError("domain_length must be positive")
 

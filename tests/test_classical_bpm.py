@@ -107,6 +107,12 @@ class TestPropagate1d:
         with pytest.raises(ValueError):
             propagate_1d(field, 1e-6, -0.1)
 
+    def test_distance_overflowing_the_phase_rejected(self):
+        # alpha**2 * z overflows to inf, and the phase exp would give NaN
+        field = random_field_1d(8, 1e-5, seed=4)
+        with pytest.raises(ValueError, match="z = 1e[+]300 overflows"):
+            propagate_1d(field, 532e-9, 1e300)
+
 
 class TestPropagate2d:
     def test_zero_distance_is_identity(self):

@@ -102,6 +102,18 @@ class TestGaussianCommand:
         grid = read_json(out / "intensity_zr00_exact.json")
         assert len(grid) == 16 and len(grid[0]) == 16
 
+    def test_sweep_z_ratio_is_the_given_zr(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["gaussian-2d", *self.ARGS[:6], "--zr", "0.09", "--zr", "0.47", "--sims", "2",
+                "--sweep-shots", "50", "--out", str(out)]
+        assert main(argv) == 0
+        waist, sweep = (
+            [line.split(",")[:2] for line in (out / name).read_text().splitlines()[1:]]
+            for name in ("waist.csv", "sigma_w.csv")
+        )
+        assert [row[0] for row in waist] == ["0.09", "0.47"]
+        assert sweep == waist
+
     def test_sweep_matches_error_analysis(self, tmp_path):
         # both commands build the scenario from the same keys, so the
         # sigma_w sweep is the error-analysis table of that scenario
@@ -159,6 +171,15 @@ class TestPropagateCommand:
             ]
         )
         assert rc == 3
+
+    def test_distance_overflowing_the_phase_is_config_error(self, tmp_path, capsys):
+        field = self.make_field(tmp_path)
+        out = tmp_path / "run"
+        rc = main(["propagate", "--input", str(field), "--z", "1e300", "--verify",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "z = 1e+300 overflows the transfer phase" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["propagate", "--out", str(tmp_path / "run")]) == 2

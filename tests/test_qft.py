@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbpm import qft
 from qbpm import (
     BACKWARD,
     FORWARD,
@@ -40,6 +41,15 @@ class TestDftOracle:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             dft_oracle([1.0, 2.0, 3.0])
+
+    def test_rejects_register_above_cap_before_building_matrix(self, monkeypatch):
+        # the 13-qubit dense matrix would take 1 GiB
+        def no_matrix(n, sign):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(qft, "_dft_matrix", no_matrix)
+        with pytest.raises(ValueError, match="at most 12 qubits, got 13"):
+            dft_oracle(np.zeros(1 << 13))
 
 
 class TestBuildQft:

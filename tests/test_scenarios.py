@@ -64,6 +64,30 @@ class TestParamsAreFinite:
             replace(params, **{field: bad})
 
 
+class TestParamsQubitBudget:
+    """A qubit count is checked before any grid is built from it."""
+
+    @pytest.mark.parametrize(
+        "params, field, bad",
+        [
+            (DEFAULT_DOUBLE_SLIT, "n_qubits", 0),
+            (DEFAULT_DOUBLE_SLIT, "n_qubits", 25),
+            (DEFAULT_DOUBLE_SLIT, "n_qubits", 30),
+            (DEFAULT_DOUBLE_SLIT, "n_qubits", 15.5),
+            (DEFAULT_GAUSSIAN_2D, "n_qubits_per_axis", 0),
+            (DEFAULT_GAUSSIAN_2D, "n_qubits_per_axis", 13),
+            (DEFAULT_GAUSSIAN_2D, "n_qubits_per_axis", 5.0),
+        ],
+    )
+    def test_out_of_budget_rejected_by_name(self, params, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer in 1[.][.]"):
+            replace(params, **{field: bad})
+
+    def test_budget_limits_accepted(self):
+        assert replace(DEFAULT_DOUBLE_SLIT, n_qubits=24).n_qubits == 24
+        assert replace(DEFAULT_GAUSSIAN_2D, n_qubits_per_axis=12).n_qubits_per_axis == 12
+
+
 class TestDoubleSlitInitial:
     def test_window_edges_included(self):
         # dx = 1/32 puts grid points exactly on the window edges
