@@ -63,29 +63,46 @@ def _apply_inplace(amplitudes: np.ndarray, n_qubits: int, gate: Gate) -> None:
         raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
-def _apply_phase_run(amplitudes: np.ndarray, n_qubits: int, gates: list[PhaseGate]) -> None:
-    """Apply a run of phase gates as one diagonal ``exp(i * theta)``.
+def _phase_diagonal(masks: np.ndarray, phis: np.ndarray, span: int) -> np.ndarray:
+    """``exp(i * theta)`` over the ``2**span`` basis indices of ``span`` qubits.
 
-    ``theta[b]`` sums the ``phi`` of every gate whose qubits are all 1 in
-    ``b``: each ``phi`` is scattered to its gate's qubit mask, then a
-    subset-sum (zeta) transform, one pass per qubit, adds every mask's
-    total into all its supersets.  ``theta`` spans only the qubits up to
-    the highest one the run touches and broadcasts over the rest.
+    ``theta[b]`` sums the ``phi`` of every mask whose bits are all 1 in
+    ``b``.  Each gate's ``exp(i * phi)`` is multiplied onto its mask, then
+    a product (zeta) transform, one pass per qubit, multiplies every entry
+    into all its supersets.  Before the pass over qubit ``q`` an entry
+    differs from 1 only if its bits from ``q`` up are those of a mask, so
+    the pass touches only the rows of masks with bit ``q`` clear.
+    """
+    diagonal = np.ones(1 << span, dtype=np.complex128)
+    np.multiply.at(diagonal, masks, np.exp(1j * phis))
+    for q in range(span):
+        marker = np.zeros(1 << (span - q - 1), dtype=bool)
+        marker[masks[(masks >> q) & 1 == 0] >> (q + 1)] = True
+        rows = np.flatnonzero(marker)
+        halves = diagonal.reshape(-1, 2, 1 << q)
+        halves[rows, 1, :] *= halves[rows, 0, :]
+    return diagonal
+
+
+def _apply_phase_run(amplitudes: np.ndarray, n_qubits: int, gates: list[PhaseGate]) -> None:
+    """Apply a run of phase gates as diagonals split at its highest qubit ``h``.
+
+    The gates without ``h`` multiply every amplitude by a diagonal over
+    qubits ``0..h-1``; the gates with ``h``, ``h`` dropped, multiply only
+    the amplitudes where ``h`` is 1.  No diagonal spans more than ``2**h``.
     """
     masks = np.empty(len(gates), dtype=np.intp)
     for i, gate in enumerate(gates):
         _check_register(gate, n_qubits)
         masks[i] = sum(1 << q for q in gate.qubits)
-    span = int(masks.max()).bit_length()
-    theta = np.bincount(masks, weights=[gate.phi for gate in gates], minlength=1 << span)
-    for q in range(span):
-        halves = theta.reshape(-1, 2, 1 << q)
-        halves[:, 1, :] += halves[:, 0, :]
-    # free theta and exponentiate in place: one complex temporary at a time
-    phase = theta * 1j
-    del theta
-    rows = amplitudes.reshape(-1, 1 << span)
-    rows *= np.exp(phase, out=phase)
+    phis = np.array([gate.phi for gate in gates])
+    h = int(masks.max()).bit_length() - 1
+    top = 1 << h
+    halves = amplitudes.reshape(-1, 2, top)
+    with_top = masks >= top
+    if not with_top.all():
+        halves *= _phase_diagonal(masks[~with_top], phis[~with_top], h)
+    halves[:, 1, :] *= _phase_diagonal(masks[with_top] - top, phis[with_top], h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +125,12 @@ class StateVector:
             raise ValueError(f"amplitude count must be a power of two >= 2, got {len(arr)}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ValueError("amplitudes must not all be zero")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(arr)
+        if not 0.0 < norm < np.inf:
+            if not np.any(arr):
+                raise ValueError("amplitudes must not all be zero")
+            raise ValueError("the norm of the amplitudes overflows or underflows float64")
         return cls(len(arr).bit_length() - 1, arr / norm)
 
     @classmethod

@@ -181,6 +181,16 @@ class TestPropagateCommand:
         assert "z = 1e+300 overflows the transfer phase" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_field_whose_norm_overflows_is_config_error(self, tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        field.write_text("1e300,1e300\n" * 4)
+        out = tmp_path / "run"
+        rc = main(["propagate", "--input", str(field), "--z", "0.001", "--verify",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "norm of the amplitudes overflows or underflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["propagate", "--out", str(tmp_path / "run")]) == 2
 

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from qbpm import (
     DoubleSlitParams,
+    GridSpec,
     Hadamard,
     PhaseGate,
     SampleCounts,
     StateVector,
     Swap,
     build_monomial_propagator,
+    build_qbpm_circuit,
+    build_qft,
     diagonal_oracle,
     double_slit_initial,
 )
@@ -52,10 +55,15 @@ class TestConstruction:
             StateVector.from_amplitudes([1.0, 0.0, 0.0])
 
     def test_rejects_zero_and_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="amplitudes must not all be zero"):
             StateVector.from_amplitudes([0.0, 0.0])
         with pytest.raises(ValueError):
             StateVector.from_amplitudes([np.nan, 1.0])
+
+    @pytest.mark.parametrize("value", [1e300, 1e-320], ids=["overflow", "underflow"])
+    def test_rejects_norm_outside_float64(self, value):
+        with pytest.raises(ValueError, match="norm of the amplitudes overflows or underflows"):
+            StateVector.from_amplitudes([value + value * 1j] * 4)
 
     @pytest.mark.parametrize("n_qubits, index", [(0, 0), (3, -1), (3, 8)])
     def test_basis_state_rejects_bad_arguments(self, n_qubits, index):
@@ -162,10 +170,11 @@ def one_gate_at_a_time(state, gates):
 class TestFusedPhaseRuns:
     """Every run of phase gates is applied as one diagonal.
 
-    The fused diagonal sums phases before one exp, where the reference
-    multiplies one dense diagonal per gate, so the two agree to rounding,
-    not bit for bit.  The bound is the 1e-12 synthesis tolerance; with
-    random phases the two are about 1e-14 apart at n = 12.
+    The kernel takes one exp per gate and multiplies the factors into each
+    basis index in the order of a product transform, where the reference
+    multiplies one dense diagonal per gate in gate order, so the two agree
+    to rounding, not bit for bit.  The bound is the 1e-12 synthesis
+    tolerance.
     """
 
     @pytest.mark.parametrize(
@@ -184,6 +193,50 @@ class TestFusedPhaseRuns:
         state = random_state(12, seed=45)
         fused = state.apply_sequence(gates)
         assert np.max(np.abs(fused.amplitudes - one_gate_at_a_time(state, gates).amplitudes)) <= 1e-12
+
+    def test_repeated_masks_multiply(self):
+        n = 10
+        gates = build_monomial_propagator(n, 2, 0.8).gates + build_monomial_propagator(n, 3, -0.3).gates
+        gates += (gates[7],)
+        state = random_state(n, seed=46)
+        fused = state.apply_sequence(gates)
+        assert np.max(np.abs(fused.amplitudes - one_gate_at_a_time(state, gates).amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_qft_matches_per_gate(self, n):
+        gates = build_qft(n).gates
+        state = random_state(n, seed=47)
+        fused = state.apply_sequence(gates)
+        assert np.max(np.abs(fused.amplitudes - one_gate_at_a_time(state, gates).amplitudes)) <= 1e-12
+
+    def test_run_on_the_top_qubit_leaves_its_zero_half_unchanged(self):
+        n, top = 10, 7
+        rng = np.random.default_rng(48)
+        gates = [
+            PhaseGate(tuple(rng.choice(top, size=k, replace=False)) + (top,), float(rng.uniform(-3, 3)))
+            for k in (0, 1, 1, 2, 3, 0)
+        ]
+        state = random_state(n, seed=49)
+        out = state.apply_sequence(gates)
+        zero_half = (np.arange(state.n_states) >> top) & 1 == 0
+        assert np.array_equal(out.amplitudes[zero_half], state.amplitudes[zero_half])
+        assert np.max(np.abs(out.amplitudes - one_gate_at_a_time(state, gates).amplitudes)) <= 1e-12
+
+    def test_exp_is_taken_per_gate_not_per_basis_state(self, monkeypatch):
+        n = 12
+        circuit = build_qbpm_circuit(n, GridSpec(2**n, 1e-5), 532e-9, 0.05)
+        state = random_state(n, seed=50)
+        sizes = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        circuit.run(state)
+        longest_run = n * (n + 1) // 2  # the transfer layer
+        assert sizes and max(sizes) <= longest_run
 
     @settings(max_examples=60, deadline=None)
     @given(
