@@ -15,10 +15,9 @@ from .propagator import (
     build_qbpm_circuit,
     build_qbpm_circuit_2d,
     decompose_monomial,
-    diagonal_oracle,
     signed_index_weights,
 )
-from .qft import BACKWARD, FORWARD, build_iqft, build_qft, dft_oracle
+from .qft import BACKWARD, FORWARD, build_iqft, build_qft
 from .qstate import SampleCounts, StateVector
 from .scenarios import (
     DEFAULT_DOUBLE_SLIT,
@@ -32,7 +31,6 @@ from .scenarios import (
     error_analysis,
     gaussian_initial_2d,
     gaussian_runner,
-    predicted_fringe_positions,
     waist_from_counts,
     waist_from_field,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "build_qbpm_circuit_2d",
     "build_qft",
     "decompose_monomial",
-    "dft_oracle",
-    "diagonal_oracle",
     "double_slit_analytic",
     "double_slit_initial",
     "double_slit_runner",
@@ -73,7 +69,6 @@ __all__ = [
     "fold_phase",
     "gaussian_initial_2d",
     "gaussian_runner",
-    "predicted_fringe_positions",
     "propagate_1d",
     "propagate_2d",
     "rmse",

@@ -15,14 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .circuit import MAX_QUBITS, Circuit, PhaseGate, scaled_phase
 from .classical_bpm import GridSpec, check_propagation_args, wavenumber
 from .qft import build_iqft, build_qft
 
 MAX_ORDER = 4
-_MAX_ORACLE_QUBITS = 14
 
 
 @dataclass(frozen=True)
@@ -94,29 +91,6 @@ def build_monomial_propagator(n: int, p: int, phi: float) -> Circuit:
     return Circuit(
         n, (PhaseGate(qubits, scaled_phase(phi, c)) for qubits, c in decompose_monomial(n, p))
     )
-
-
-def diagonal_oracle(n: int, phase_by_order: Mapping[int, float]) -> np.ndarray:
-    """Direct per-index evaluation of ``exp(i * sum_p phi_p * g**p)``.
-
-    Verification-only counterpart of the gate synthesis; returns the
-    ``2**n`` diagonal entries in basis-index order.  Each phase argument
-    is reduced into (-pi, pi] exactly before exponentiation; the naive
-    double product ``phi * g**p`` can exceed 1e5 radians and its rounding
-    alone would swamp the accuracy being verified.
-    """
-    if not 1 <= n <= _MAX_ORACLE_QUBITS:
-        raise ValueError(f"oracle supports 1..{_MAX_ORACLE_QUBITS} qubits, got {n}")
-    for p in phase_by_order:
-        if not 1 <= p <= MAX_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
-    n_states = 1 << n
-    half = n_states // 2
-    theta = np.zeros(n_states, dtype=float)
-    for b in range(n_states):
-        g = b - n_states if b >= half else b
-        theta[b] = sum(scaled_phase(phi, g**p) for p, phi in phase_by_order.items())
-    return np.exp(1j * theta)
 
 
 def build_qbpm_circuit(

@@ -87,16 +87,6 @@ def double_slit_analytic(params: DoubleSlitParams, grid: GridSpec, z: float) -> 
     return intensity / intensity.sum()
 
 
-def predicted_fringe_positions(params: DoubleSlitParams, z: float, orders) -> np.ndarray:
-    """Positions of interference maxima ``sin(theta) = m * lambda / d``."""
-    if not (z > 0.0):
-        raise ValueError("fringe positions require z > 0")
-    sin_theta = np.asarray(orders, dtype=float) * params.wavelength / params.slit_separation
-    if np.any(np.abs(sin_theta) >= 1.0):
-        raise ValueError("fringe order does not exist at this geometry")
-    return z * np.tan(np.arcsin(sin_theta))
-
-
 @dataclass(frozen=True)
 class GaussianParams:
     """Gaussian beam of waist ``waist`` centered on a square two-axis

@@ -18,13 +18,10 @@ from qbpm import (
     build_qbpm_circuit_2d,
     build_qft,
     decompose_monomial,
-    dft_oracle,
-    diagonal_oracle,
     double_slit_analytic,
     double_slit_initial,
     error_analysis,
     gaussian_initial_2d,
-    predicted_fringe_positions,
     propagate_1d,
     propagate_2d,
     rmse,
@@ -33,6 +30,8 @@ from qbpm import (
 )
 from qbpm import classical_bpm
 from qbpm.cli import main as cli_main
+
+from oracles import dft_oracle, diagonal_oracle, predicted_fringe_positions
 
 
 def random_state(n, rng):

@@ -17,12 +17,12 @@ from qbpm import (
     build_qbpm_circuit,
     build_qbpm_circuit_2d,
     decompose_monomial,
-    dft_oracle,
-    diagonal_oracle,
     propagate_1d,
     propagate_2d,
     signed_index_weights,
 )
+
+from oracles import dft_oracle, diagonal_oracle
 
 
 def random_state(n, seed):
@@ -159,10 +159,6 @@ class TestDiagonalOracle:
     def test_zero_phases_give_ones(self):
         assert np.allclose(diagonal_oracle(4, {2: 0.0}), 1.0)
         assert np.allclose(diagonal_oracle(4, {}), 1.0)
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            diagonal_oracle(15, {2: 0.1})
 
 
 class TestDispersionPolynomial:

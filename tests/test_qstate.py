@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbpm import (
+    DispersionPolynomial,
     DoubleSlitParams,
     GridSpec,
     Hadamard,
@@ -13,10 +16,14 @@ from qbpm import (
     Swap,
     build_monomial_propagator,
     build_qbpm_circuit,
+    build_qbpm_circuit_2d,
     build_qft,
-    diagonal_oracle,
+    decompose_monomial,
     double_slit_initial,
 )
+from qbpm import qstate
+
+from oracles import diagonal_oracle
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -154,17 +161,38 @@ def random_phase_run(n, length, rng):
 
 
 def one_gate_at_a_time(state, gates):
-    """Reference: each phase gate as its own dense diagonal, the others
-    through ``apply_sequence``."""
+    """Reference: every gate on its own through a kernel written here, so
+    nothing of the plan under test is used.  A phase gate multiplies a dense
+    diagonal, a Hadamard combines the two halves of its qubit, and a swap
+    exchanges two tensor axes."""
+    n = state.n_qubits
     idx = np.arange(state.n_states)
+    amplitudes = state.amplitudes
     for gate in gates:
         if isinstance(gate, PhaseGate):
             mask = sum(1 << q for q in gate.qubits)
-            diagonal = np.where((idx & mask) == mask, np.exp(1j * gate.phi), 1)
-            state = StateVector(state.n_qubits, state.amplitudes * diagonal)
-        else:
-            state = state.apply_sequence([gate])
-    return state
+            amplitudes = amplitudes * np.where((idx & mask) == mask, np.exp(1j * gate.phi), 1)
+        elif isinstance(gate, Hadamard):
+            halves = amplitudes.reshape(-1, 2, 1 << gate.target)
+            a, b = halves[:, 0], halves[:, 1]
+            amplitudes = np.stack([a + b, a - b], axis=1).reshape(-1) * INV_SQRT2
+        else:  # tensor axis k holds qubit n - 1 - k
+            tensor = amplitudes.reshape((2,) * n)
+            amplitudes = np.swapaxes(tensor, n - 1 - gate.a, n - 1 - gate.b).reshape(-1)
+    return StateVector(n, amplitudes)
+
+
+def random_ladder(n, rng):
+    """QFT-shaped gates on a random subset of qubits: a Hadamard on each,
+    top down, followed by a controlled phase from each lower qubit of the
+    subset; reversed half of the time, as in an inverse QFT."""
+    qubits = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    gates = []
+    for i in range(len(qubits) - 1, -1, -1):
+        gates.append(Hadamard(int(qubits[i])))
+        for j in range(i - 1, -1, -1):
+            gates.append(PhaseGate((int(qubits[j]), int(qubits[i])), float(rng.uniform(-np.pi, np.pi))))
+    return gates[::-1] if rng.integers(2) else gates
 
 
 class TestFusedPhaseRuns:
@@ -238,17 +266,16 @@ class TestFusedPhaseRuns:
         longest_run = n * (n + 1) // 2  # the transfer layer
         assert sizes and max(sizes) <= longest_run
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(1, 12),
         segments=st.lists(
             st.one_of(
-                st.just("hadamard"),
-                st.just("swap"),
+                st.sampled_from(["hadamard", "repeated-hadamard", "swaps", "ladder"]),
                 st.integers(1, 36),  # a phase run of this length, capped at 3n
             ),
             min_size=1,
-            max_size=6,
+            max_size=8,
         ),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -258,10 +285,16 @@ class TestFusedPhaseRuns:
         for segment in segments:
             if segment == "hadamard":
                 gates.append(Hadamard(int(rng.integers(n))))
-            elif segment == "swap":
-                if n >= 2:
+            elif segment == "repeated-hadamard":
+                q = int(rng.integers(n))
+                gates += [Hadamard(q), PhaseGate((q,), float(rng.uniform(-np.pi, np.pi))), Hadamard(q)]
+                gates += [Hadamard(q)] * int(rng.integers(1, 3))
+            elif segment == "swaps":
+                for _ in range(int(rng.integers(1, 4)) if n >= 2 else 0):
                     a, b = rng.choice(n, size=2, replace=False)
                     gates.append(Swap(int(a), int(b)))
+            elif segment == "ladder":
+                gates.extend(random_ladder(n, rng))
             else:
                 gates.extend(random_phase_run(n, min(segment, 3 * n), rng))
         state = random_state(n, seed)
@@ -303,6 +336,101 @@ class TestFusedPhaseRuns:
         fused = state.apply_sequence(gate for gate in gates)
         per_gate = one_gate_at_a_time(state, gates)
         assert np.max(np.abs(fused.amplitudes - per_gate.amplitudes)) <= 1e-12
+
+
+# (axes, qubits per axis, polynomial orders) of the propagation circuits
+# whose QFT / transfer / inverse-QFT slices are run one after another
+SLICED_CIRCUITS = [
+    (1, n, orders) for orders in ((2,), (2, 3), (2, 3, 4)) for n in range(1, 13)
+] + [(2, n, (2,)) for n in range(1, 7)]
+
+
+class TestCompiledPlan:
+    """``apply_sequence`` compiles the gates into dense windows, diagonal
+    runs and swap permutations, then runs them on one copy of the state."""
+
+    @pytest.mark.parametrize(
+        "axes, n, orders",
+        SLICED_CIRCUITS,
+        ids=[f"{axes}d-n{n}-p{''.join(map(str, orders))}" for axes, n, orders in SLICED_CIRCUITS],
+    )
+    def test_slices_run_in_turn_equal_the_whole_circuit(self, axes, n, orders):
+        # a run traced one slice at a time must execute the same steps, bit
+        # for bit, as an untraced run of the whole circuit
+        grid = GridSpec(2**n, 1e-5)
+        if axes == 1:
+            polynomial = DispersionPolynomial({p: -1e-7 / p for p in orders})
+            circuit = build_qbpm_circuit(n, grid, 532e-9, 0.05, polynomial)
+        else:
+            circuit = build_qbpm_circuit_2d(n, grid, 532e-9, 0.05)
+        n_qft = len(build_qft(n))
+        n_transfer = sum(len(decompose_monomial(n, p)) for p in orders)
+        per_axis = 2 * n_qft + n_transfer
+        gates = circuit.gates
+        assert len(gates) == axes * per_axis
+        state = random_state(circuit.n_qubits, seed=51)
+        sliced = state
+        for base in range(0, len(gates), per_axis):
+            for a, b in ((0, n_qft), (n_qft, n_qft + n_transfer), (n_qft + n_transfer, per_axis)):
+                sliced = sliced.apply_sequence(gates[base + a : base + b])
+        assert np.array_equal(state.apply_sequence(gates).amplitudes, sliced.amplitudes)
+
+    def test_qft_compiles_to_radix_32_windows(self):
+        plan = qstate._compile(build_qft(12).gates, 12)
+        assert [step[0] for step in plan] == [
+            qstate._apply_window,
+            qstate._apply_phase_run,
+            qstate._apply_window,
+            qstate._apply_phase_run,
+            qstate._apply_window,
+            qstate._permute,
+        ]
+        windows = [(lo, len(matrix)) for kernel, lo, matrix in plan[:5:2]]
+        assert windows == [(7, 2**qstate.R), (2, 2**qstate.R), (0, 4)]
+        assert [len(plan[1][1]), len(plan[3][1])] == [5 * 7, 5 * 2]
+        assert plan[5][1] == list(range(11, -1, -1))
+
+    def test_windows_run_in_place_through_a_small_temporary(self):
+        n = 20  # 16 MiB of amplitudes
+        amplitudes = random_state(n, seed=52).amplitudes.copy()
+        windows = [step for step in qstate._compile(build_qft(n).gates, n) if step[0] is qstate._apply_window]
+        assert [lo for _, lo, _ in windows] == [15, 10, 5, 0]
+        tracemalloc.start()
+        try:
+            for kernel, *args in windows:
+                kernel(amplitudes, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * qstate._CHUNK * amplitudes.itemsize  # 2 MiB
+
+    @pytest.mark.parametrize(
+        "bad", [Hadamard(4), PhaseGate((0, 4), 0.3), Swap(1, 4)], ids=["hadamard", "phase", "swap"]
+    )
+    def test_every_gate_is_checked_before_any_step_runs(self, monkeypatch, bad):
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran")
+
+        for kernel in ("_apply_window", "_apply_phase_run", "_permute"):
+            monkeypatch.setattr(qstate, kernel, no_kernel)
+        n = 4
+        gates = list(build_qft(n).gates) + [Hadamard(0), bad, Hadamard(1)]
+        with pytest.raises(ValueError) as error:
+            random_state(n, seed=53).apply_sequence(gates)
+        assert str(error.value) == f"gate {bad} exceeds register of {n} qubits"
+
+    def test_numpy_integer_qubits_give_the_same_state(self):
+        gates = [Hadamard(3), PhaseGate((2, 3), 0.5), Hadamard(2), Swap(0, 1)]
+        numpy_gates = [
+            Hadamard(np.int64(3)),
+            PhaseGate((np.int64(2), np.int32(3)), 0.5),
+            Hadamard(np.int64(2)),
+            Swap(np.int32(0), 1),
+        ]
+        state = random_state(4, seed=54)
+        assert np.array_equal(
+            state.apply_sequence(numpy_gates).amplitudes, state.apply_sequence(gates).amplitudes
+        )
 
 
 class TestProbabilities:

@@ -19,13 +19,14 @@ from qbpm import (
     error_analysis,
     gaussian_initial_2d,
     gaussian_runner,
-    predicted_fringe_positions,
     propagate_1d,
     propagate_2d,
     rmse,
     waist_from_counts,
     waist_from_field,
 )
+
+from oracles import predicted_fringe_positions
 
 
 class TestDoubleSlitParams:
