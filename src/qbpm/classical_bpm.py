@@ -1,5 +1,9 @@
 """Classical reference propagator: FFT, transfer-function multiply, inverse FFT.
 
+The transfer phase depends only on ``|alpha|``, so it is evaluated once per
+distinct ``|alpha|`` (slots ``0 .. N/2`` of each axis) and then gathered
+onto all ``N`` slots.
+
 Also owns the grid bookkeeping shared by the quantum and classical paths,
 and the normalized root-mean-square intensity error used to compare them
 against analytic references.
@@ -59,10 +63,6 @@ class GridSpec:
         """Physical coordinate of every array slot (meters)."""
         return self.signed_indices() * self.dx
 
-    def frequencies(self) -> np.ndarray:
-        """Transverse wavenumber of every array slot (rad/m)."""
-        return self.signed_indices() * self.d_alpha
-
 
 @dataclass(frozen=True)
 class Field:
@@ -120,12 +120,25 @@ def _transfer(freq_squared: np.ndarray, k: float, z: float) -> np.ndarray:
     return np.exp(phase)
 
 
+def _folded_slots(n_points: int) -> np.ndarray:
+    """Slot ``min(b, N - b)`` of every slot ``b``: the slot in ``0 .. N/2``
+    whose frequency has the same ``|alpha|``."""
+    slots = np.arange(n_points)
+    slots[n_points // 2 + 1 :] = n_points - slots[n_points // 2 + 1 :]
+    return slots
+
+
 def _propagate(field: Field, wavelength: float, z: float) -> Field:
     k = check_propagation_args(wavelength, z)
-    # values[iy, ix]: the x frequencies run along the last axis
-    freq_squared = sum(f**2 for f in np.ix_(*(g.frequencies() for g in reversed(field.grids))))
+    # values[iy, ix]: the x frequencies run along the last axis.  The table
+    # holds alpha**2 (+ beta**2) for |alpha| at slots 0 .. N/2 only; slot
+    # N/2 has the largest |alpha|, so the overflow check sees it.
+    grids = tuple(reversed(field.grids))
+    freq_squared = sum(
+        f**2 for f in np.ix_(*(np.arange(g.n_points // 2 + 1) * g.d_alpha for g in grids))
+    )
     spectrum = np.fft.fftn(field.values, norm="ortho")
-    spectrum *= _transfer(freq_squared, k, z)
+    spectrum *= _transfer(freq_squared, k, z)[np.ix_(*(_folded_slots(g.n_points) for g in grids))]
     return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))
 
 

@@ -167,7 +167,9 @@ def _phase_diagonal(masks: np.ndarray, phis: np.ndarray, span: int) -> np.ndarra
     a product (zeta) transform, one pass per qubit, multiplies every entry
     into all its supersets.  Before the pass over qubit ``q`` an entry
     differs from 1 only if its bits from ``q`` up are those of a mask, so
-    the pass touches only the rows of masks with bit ``q`` clear.
+    the pass touches only the rows of masks with bit ``q`` clear.  When
+    those rows are one contiguous range, as on the high qubits of a QFT or
+    transfer run, the pass multiplies through a slice, not an index array.
     """
     diagonal = np.ones(1 << span, dtype=np.complex128)
     np.multiply.at(diagonal, masks, np.exp(1j * phis))
@@ -175,6 +177,8 @@ def _phase_diagonal(masks: np.ndarray, phis: np.ndarray, span: int) -> np.ndarra
         marker = np.zeros(1 << (span - q - 1), dtype=bool)
         marker[masks[(masks >> q) & 1 == 0] >> (q + 1)] = True
         rows = np.flatnonzero(marker)
+        if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(rows[0], rows[-1] + 1)
         halves = diagonal.reshape(-1, 2, 1 << q)
         halves[rows, 1, :] *= halves[rows, 0, :]
     return diagonal

@@ -144,8 +144,12 @@ def waist_from_counts(counts: SampleCounts, grid: GridSpec) -> float:
     ``w = sqrt(sum_ij (x_i**2 + y_j**2) * P_ij)`` with ``P_ij`` the
     empirical collapse frequency at grid cell (i, j).
     """
-    weights = counts.frequencies().reshape(grid.n_points, grid.n_points)
-    return float(np.sqrt(np.sum(_radius_squared(grid, grid) * weights)))
+    return _sampled_waist(counts, _radius_squared(grid, grid))
+
+
+def _sampled_waist(counts: SampleCounts, radius_squared: np.ndarray) -> float:
+    weights = counts.frequencies().reshape(radius_squared.shape)
+    return float(np.sqrt(np.sum(radius_squared * weights)))
 
 
 def waist_from_field(field: Field) -> float:
@@ -201,9 +205,10 @@ def error_analysis(
     elif isinstance(scenario, GaussianParams):
         at = gaussian_runner(scenario)
         grid = scenario.make_grid()
+        radius_squared = _radius_squared(grid, grid)  # built once, not per draw
 
         def run_error(counts: SampleCounts, reference) -> float:
-            return waist_from_counts(counts, grid) - reference
+            return _sampled_waist(counts, radius_squared) - reference
 
     else:
         raise TypeError(f"unknown scenario type {type(scenario).__name__}")

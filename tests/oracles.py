@@ -2,7 +2,8 @@
 
 ``dft_oracle`` is O(N**2) in time and memory and ``diagonal_oracle`` a
 Python loop over the basis, so both are meant for registers of at most
-about 12 qubits.
+about 12 qubits.  ``full_spectrum_propagate`` is the classical propagator
+with the transfer phase evaluated at every slot, not once per ``|alpha|``.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from typing import Mapping
 
 import numpy as np
 
-from qbpm import BACKWARD, FORWARD, DoubleSlitParams, scaled_phase
-from qbpm.classical_bpm import is_power_of_two
+from qbpm import BACKWARD, FORWARD, DoubleSlitParams, Field, scaled_phase
+from qbpm.classical_bpm import is_power_of_two, wavenumber
 from qbpm.propagator import MAX_ORDER
 
 
@@ -62,3 +63,16 @@ def predicted_fringe_positions(params: DoubleSlitParams, z: float, orders) -> np
     if np.any(np.abs(sin_theta) >= 1.0):
         raise ValueError("fringe order does not exist at this geometry")
     return z * np.tan(np.arcsin(sin_theta))
+
+
+def full_spectrum_propagate(field: Field, wavelength: float, z: float) -> Field:
+    """FFT, ``exp(-i alpha**2 z / (2 k))`` evaluated at all ``N`` slots of
+    each axis, inverse FFT: the same arithmetic, slot by slot, as the
+    library's propagator, which evaluates each distinct ``|alpha|`` once."""
+    k = wavenumber(wavelength)
+    # values[iy, ix]: the x frequencies run along the last axis
+    freqs = (g.signed_indices() * g.d_alpha for g in reversed(field.grids))
+    freq_squared = sum(f**2 for f in np.ix_(*freqs))
+    spectrum = np.fft.fftn(field.values, norm="ortho")
+    spectrum *= np.exp(-1j * freq_squared * z / (2.0 * k))
+    return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))

@@ -3,6 +3,8 @@ import pytest
 
 from qbpm import Field, GridSpec, propagate_1d, propagate_2d, rmse
 
+from oracles import full_spectrum_propagate
+
 
 def random_field_1d(n_qubits, dx, seed):
     rng = np.random.default_rng(seed)
@@ -143,6 +145,59 @@ class TestPropagate2d:
         out = propagate_2d(field, 1e-6, 0.4)
         power = np.sum(field.intensity())
         assert abs(np.sum(out.intensity()) - power) < 1e-12 * power
+
+
+def z_values(grid, wavelength):
+    """Zero, a mid distance (a largest transfer phase of about 100 rad) and
+    one whose largest transfer phase ``alpha_max**2 z / 2k`` is 2e4 rad."""
+    alpha_max = grid.d_alpha * (grid.n_points // 2)
+    z_big = 2e4 * 2 * (2 * np.pi / wavelength) / alpha_max**2
+    return (0.0, z_big / 200, z_big)
+
+
+class TestHalfSpectrumTransfer:
+    """The transfer phase is evaluated once per distinct ``|alpha|`` and
+    gathered onto every slot; the result is the full-spectrum formula, bit
+    for bit."""
+
+    WAVELENGTH = 532e-9
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_1d_equals_full_spectrum_formula(self, n):
+        field = random_field_1d(n, 1e-5, seed=100 + n)
+        for z in z_values(field.grids[0], self.WAVELENGTH):
+            expected = full_spectrum_propagate(field, self.WAVELENGTH, z).values
+            assert np.array_equal(propagate_1d(field, self.WAVELENGTH, z).values, expected)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_2d_equals_full_spectrum_formula(self, n):
+        rng = np.random.default_rng(200 + n)
+        grid = GridSpec(2**n, 1e-5)
+        values = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        field = Field((grid, grid), values / np.linalg.norm(values))
+        for z in z_values(grid, self.WAVELENGTH):
+            expected = full_spectrum_propagate(field, self.WAVELENGTH, z).values
+            assert np.array_equal(propagate_2d(field, self.WAVELENGTH, z).values, expected)
+
+    @pytest.mark.parametrize(
+        "axes, n, largest",
+        [(1, 12, 2**11 + 1), (2, 6, 33 * 33)],
+        ids=["1d-n12", "2d-n6"],
+    )
+    def test_exp_is_taken_per_distinct_frequency(self, monkeypatch, axes, n, largest):
+        grid = GridSpec(2**n, 1e-5)
+        values = np.random.default_rng(300).standard_normal((2**n,) * axes)
+        field = Field((grid,) * axes, values)
+        sizes = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        (propagate_1d if axes == 1 else propagate_2d)(field, self.WAVELENGTH, 0.05)
+        assert sizes and max(sizes) <= largest
 
 
 class TestRmse:

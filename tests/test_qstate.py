@@ -338,6 +338,44 @@ class TestFusedPhaseRuns:
         assert np.max(np.abs(fused.amplitudes - per_gate.amplitudes)) <= 1e-12
 
 
+@st.composite
+def mask_runs(draw):
+    """``(span, masks, phis)``: the masks are a contiguous range of
+    integers, so every pass of the product transform touches one contiguous
+    range of rows; or drawn at random, repeats allowed, so the rows are
+    scattered; or every mask of the span, so every pass touches every row."""
+    span = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["contiguous", "scattered", "complete"]))
+    size = 1 << span
+    if kind == "contiguous":
+        lo = draw(st.integers(0, size - 1))
+        masks = list(range(lo, draw(st.integers(lo + 1, size))))
+    elif kind == "scattered":
+        masks = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40))
+    else:
+        masks = list(range(size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return span, np.array(masks, dtype=np.intp), rng.uniform(-np.pi, np.pi, len(masks))
+
+
+class TestPhaseDiagonal:
+    """``_phase_diagonal`` against ``exp(i * theta)``, with ``theta`` summed
+    per basis index directly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=mask_runs())
+    def test_matches_exp_of_summed_phase(self, run):
+        span, masks, phis = run
+        index = np.arange(1 << span)
+        # extended precision keeps the sum of up to 4096 phases exact to
+        # well below the tolerance
+        theta = np.zeros(1 << span, dtype=np.longdouble)
+        for mask, phi in zip(masks, phis):
+            theta[index & mask == mask] += phi
+        expected = np.exp(1j * theta.astype(np.float64))
+        assert np.max(np.abs(qstate._phase_diagonal(masks, phis, span) - expected)) <= 1e-12
+
+
 # (axes, qubits per axis, polynomial orders) of the propagation circuits
 # whose QFT / transfer / inverse-QFT slices are run one after another
 SLICED_CIRCUITS = [
