@@ -1,11 +1,11 @@
-"""Gate descriptors, circuit container, gate counting, and OpenQASM export."""
+"""Gate descriptors, the fixed gate-tuple circuit, gate counting, and OpenQASM export."""
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,45 +121,36 @@ def _shifted(gate: Gate, offset: int) -> Gate:
     return Swap(gate.a + offset, gate.b + offset)
 
 
-class Circuit:
-    """Ordered list of gates on a fixed-size register.
+def check_register(gate: Gate, n_qubits: int) -> None:
+    """Reject ``gate`` if it acts on a qubit outside a register of ``n_qubits``."""
+    if max(gate.qubits) >= n_qubits:
+        raise ValueError(f"gate {gate} exceeds register of {n_qubits} qubits")
 
-    Append-only while being built; running a circuit never mutates it, so a
-    finished circuit can be shared freely.
+
+class Circuit:
+    """Fixed sequence of gates on a register of ``n_qubits`` qubits.
+
+    The whole sequence is given when the circuit is made, checked against
+    the register and kept as the tuple ``gates``; nothing changes it
+    afterwards, so a circuit can be shared freely and a slice of its gates
+    stays valid.
     """
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
         self.n_qubits = n_qubits
-        self._gates: list[Gate] = []
-        self.extend(gates)
-
-    def append(self, gate: Gate) -> "Circuit":
-        if max(gate.qubits) >= self.n_qubits:
-            raise ValueError(f"gate {gate} exceeds register of {self.n_qubits} qubits")
-        self._gates.append(gate)
-        return self
-
-    def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        for gate in gates:
-            self.append(gate)
-        return self
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(self._gates)
+        self.gates = tuple(gates)
+        for gate in self.gates:
+            check_register(gate, n_qubits)
 
     def __len__(self) -> int:
-        return len(self._gates)
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self._gates)
+        return len(self.gates)
 
     def gate_count(self) -> dict[str, int]:
         """Exact per-kind gate counts; every kind is present, possibly zero."""
         counts = {kind: 0 for kind in GATE_KINDS}
-        for gate in self._gates:
+        for gate in self.gates:
             counts[_kind(gate)] += 1
         return counts
 
@@ -167,7 +158,7 @@ class Circuit:
         """Same gate sequence with every qubit index moved up by ``offset``."""
         if offset < 0:
             raise ValueError("offset must be non-negative")
-        return Circuit(n_qubits, (_shifted(g, offset) for g in self._gates))
+        return Circuit(n_qubits, [_shifted(g, offset) for g in self.gates])
 
     def run(self, state):
         """Apply all gates in order to ``state``; returns the new state."""
@@ -175,7 +166,7 @@ class Circuit:
             raise ValueError(
                 f"state has {state.n_qubits} qubits, circuit expects {self.n_qubits}"
             )
-        return state.apply_sequence(self._gates)
+        return state.apply_sequence(self.gates)
 
     def to_qasm_text(self) -> str:
         """OpenQASM 2.0 text for this circuit.
@@ -185,7 +176,7 @@ class Circuit:
         arities are rejected.
         """
         lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{self.n_qubits}];"]
-        for gate in self._gates:
+        for gate in self.gates:
             lines.extend(_qasm_lines(gate))
         return "\n".join(lines) + "\n"
 

@@ -298,6 +298,10 @@ def cmd_double_slit(config: dict) -> int:
     grid = params.make_grid()
     order = np.argsort(grid.coordinates(), kind="stable")
     x_sorted = grid.coordinates()[order]
+    # a resolved z can fail at(z) only on its transfer phase: check each first
+    paraxial = DispersionPolynomial.paraxial(params.wavelength)
+    for z in config["z"]:
+        paraxial.phase_angles(grid, float(z))
 
     out = _out_dir("double-slit", config)
     rmse_rows = []
@@ -327,6 +331,10 @@ def cmd_gaussian_2d(config: dict) -> int:
     grid = params.make_grid()
     z0 = params.rayleigh_length
     shape = (grid.n_points, grid.n_points)
+    # the sweep runs every distance, so one that fails stops the command
+    # before any file is written
+    z_ratios = {float(zr) * z0: float(zr) for zr in config["zr"]}
+    sweep = _error_rows(params, z_ratios, config["sweep_shots"], config)
 
     out = _out_dir("gaussian-2d", config)
     waist_rows = []
@@ -345,12 +353,8 @@ def cmd_gaussian_2d(config: dict) -> int:
         w_q = waist_from_counts(counts, grid)
         waist_rows.append((zr, z, w_q, w_ref, w_q - w_ref))
     _write_csv(out / "waist.csv", ["z_ratio", "z", "w_sampled", "w_reference", "error"], waist_rows)
-
-    z_ratios = {float(zr) * z0: float(zr) for zr in config["zr"]}
     _write_csv(
-        out / "sigma_w.csv",
-        ["z_ratio", "z", "n_shots", "n_sim", "mu_error", "sigma_w"],
-        _error_rows(params, z_ratios, config["sweep_shots"], config),
+        out / "sigma_w.csv", ["z_ratio", "z", "n_shots", "n_sim", "mu_error", "sigma_w"], sweep
     )
     print(f"gaussian-2d: wrote {len(config['zr'])} intensity grids to {out}")
     return 0

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .circuit import MAX_QUBITS, Circuit, PhaseGate, scaled_phase
+from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, scaled_phase
 from .classical_bpm import GridSpec, check_propagation_args, wavenumber
-from .qft import build_iqft, build_qft
+from .qft import BACKWARD, FORWARD, _qft
 
 MAX_ORDER = 4
 
@@ -43,8 +43,15 @@ class DispersionPolynomial:
         return cls({2: -1.0 / (2.0 * wavenumber(wavelength))})
 
     def phase_angles(self, grid: GridSpec, z: float) -> dict[int, float]:
-        """Per-order phase per unit ``g**p`` after discretizing ``alpha = g * d_alpha``."""
-        return {p: c * grid.d_alpha**p * z for p, c in sorted(self.orders.items())}
+        """Per-order phase per unit ``g**p`` after discretizing ``alpha = g * d_alpha``;
+        an angle that overflows float64 or is not finite raises ``ValueError``."""
+        try:
+            angles = {p: c * grid.d_alpha**p * z for p, c in sorted(self.orders.items())}
+            if all(map(math.isfinite, angles.values())):
+                return angles
+        except OverflowError:  # d_alpha**p of a tiny grid spacing
+            pass
+        raise ValueError(f"phase must be finite: the transfer phase overflows at z = {z}")
 
 
 def signed_index_weights(n: int) -> list[int]:
@@ -82,15 +89,34 @@ def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     )
 
 
+def _monomial_gates(n: int, p: int, phi: float) -> list[Gate]:
+    return [PhaseGate(qubits, scaled_phase(phi, c)) for qubits, c in decompose_monomial(n, p)]
+
+
 def build_monomial_propagator(n: int, p: int, phi: float) -> Circuit:
     """Diagonal circuit applying ``exp(i * phi * g**p)`` to every basis state.
 
     Emits one :class:`PhaseGate` per monomial term, on the term's qubits,
     with the term coefficient times ``phi`` folded into (-pi, pi].
     """
-    return Circuit(
-        n, (PhaseGate(qubits, scaled_phase(phi, c)) for qubits, c in decompose_monomial(n, p))
-    )
+    return Circuit(n, _monomial_gates(n, p, phi))
+
+
+def _propagation_gates(
+    n: int, grid: GridSpec, wavelength: float, z: float, polynomial: DispersionPolynomial | None
+) -> list[Gate]:
+    """Forward QFT, the transfer phase of every order, then the inverse QFT
+    (the sign +1 transform reversed)."""
+    if grid.n_qubits != n:
+        raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
+    check_propagation_args(wavelength, z)
+    if polynomial is None:
+        polynomial = DispersionPolynomial.paraxial(wavelength)
+    gates = _qft(n, FORWARD)
+    for p, phi in polynomial.phase_angles(grid, z).items():
+        gates += _monomial_gates(n, p, phi)
+    gates += reversed(_qft(n, BACKWARD))
+    return gates
 
 
 def build_qbpm_circuit(
@@ -107,16 +133,7 @@ def build_qbpm_circuit(
     unit ``g**2`` is ``-2 pi**2 z / (N**2 dx**2 k)`` with ``k = 2 pi /
     wavelength``.
     """
-    if grid.n_qubits != n:
-        raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
-    check_propagation_args(wavelength, z)
-    if polynomial is None:
-        polynomial = DispersionPolynomial.paraxial(wavelength)
-    circuit = build_qft(n)
-    for p, phi in polynomial.phase_angles(grid, z).items():
-        circuit.extend(build_monomial_propagator(n, p, phi))
-    circuit.extend(build_iqft(n))
-    return circuit
+    return Circuit(n, _propagation_gates(n, grid, wavelength, z, polynomial))
 
 
 def build_qbpm_circuit_2d(
@@ -135,7 +152,5 @@ def build_qbpm_circuit_2d(
     total = 2 * n_per_axis
     if total > MAX_QUBITS:
         raise ValueError(f"{total} qubits exceed the register budget of {MAX_QUBITS}")
-    axis = build_qbpm_circuit(n_per_axis, grid, wavelength, z, polynomial)
-    circuit = Circuit(total, axis.gates)
-    circuit.extend(axis.shifted(n_per_axis, total).gates)
-    return circuit
+    axis = _propagation_gates(n_per_axis, grid, wavelength, z, polynomial)
+    return Circuit(total, axis + [_shifted(g, n_per_axis) for g in axis])

@@ -10,43 +10,36 @@ its gates in reverse order.
 """
 from __future__ import annotations
 
-from .circuit import MAX_QUBITS, TWO_PI, Circuit, Hadamard, PhaseGate, Swap
+from .circuit import MAX_QUBITS, TWO_PI, Circuit, Gate, Hadamard, PhaseGate, Swap
 
 FORWARD = -1
 BACKWARD = +1
 
 
-def _check_args(n: int, sign: int) -> None:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-    if sign not in (FORWARD, BACKWARD):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
-def _qft(n: int, sign: int) -> Circuit:
-    """Fourier-transform circuit on ``n`` qubits with the given exponent sign.
+def _qft(n: int, sign: int) -> list[Gate]:
+    """Gates of the Fourier transform on ``n`` qubits with exponent ``sign``.
 
     Uses ``n`` Hadamards, ``n*(n-1)/2`` controlled phases with angles
     ``sign * 2*pi / 2**j``, and ``n//2`` explicit qubit-reversal swaps.
     """
-    _check_args(n, sign)
-    circuit = Circuit(n)
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    gates: list[Gate] = []
     for target in range(n - 1, -1, -1):
-        circuit.append(Hadamard(target))
+        gates.append(Hadamard(target))
         for control in range(target - 1, -1, -1):
             angle = sign * TWO_PI / 2 ** (target - control + 1)
-            circuit.append(PhaseGate((control, target), angle))
-    for q in range(n // 2):
-        circuit.append(Swap(q, n - 1 - q))
-    return circuit
+            gates.append(PhaseGate((control, target), angle))
+    gates.extend(Swap(q, n - 1 - q) for q in range(n // 2))
+    return gates
 
 
 def build_qft(n: int) -> Circuit:
     """Forward (sign -1) Fourier-transform circuit on ``n`` qubits."""
-    return _qft(n, FORWARD)
+    return Circuit(n, _qft(n, FORWARD))
 
 
 def build_iqft(n: int) -> Circuit:
     """Exact adjoint of ``build_qft(n)``: Hadamards and swaps are
     self-inverse, so reversing the sign +1 transform negates every phase."""
-    return Circuit(n, reversed(_qft(n, BACKWARD).gates))
+    return Circuit(n, reversed(_qft(n, BACKWARD)))

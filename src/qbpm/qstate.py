@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Gate, Hadamard, PhaseGate, Swap
+from .circuit import Hadamard, PhaseGate, Swap, check_register
 from .classical_bpm import is_power_of_two
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -60,11 +60,6 @@ class SampleCounts:
     def frequencies(self) -> np.ndarray:
         """Empirical probability of each basis index."""
         return self.counts / float(self.total_shots)
-
-
-def _check_register(gate: Gate, n_qubits: int) -> None:
-    if max(gate.qubits) >= n_qubits:
-        raise ValueError(f"gate {gate} exceeds register of {n_qubits} qubits")
 
 
 def _span(bits: int) -> tuple[int, int]:
@@ -229,7 +224,7 @@ def _compile(gates, n_qubits: int) -> list[tuple]:
         source = None
 
     for gate in gates:
-        _check_register(gate, n_qubits)
+        check_register(gate, n_qubits)
         if isinstance(gate, Swap):
             if source is None:
                 close_window()

@@ -117,15 +117,20 @@ class TestGateValidation:
 
 
 class TestCircuit:
-    def test_append_checks_register_bounds(self):
-        circuit = Circuit(2)
-        with pytest.raises(ValueError):
-            circuit.append(Hadamard(2))
+    def test_constructor_checks_register_bounds(self):
+        with pytest.raises(ValueError) as made:
+            Circuit(2, [Hadamard(0), Hadamard(2)])
+        with pytest.raises(ValueError) as applied:
+            StateVector.basis_state(2).apply_sequence([Hadamard(2)])
+        message = "gate Hadamard(target=2) exceeds register of 2 qubits"
+        assert str(made.value) == str(applied.value) == message
 
-    def test_append_preserves_order(self):
-        circuit = Circuit(2)
-        circuit.append(Hadamard(0)).append(PhaseGate((1,), 0.5))
+    def test_constructor_preserves_order(self):
+        gates = [Hadamard(0), PhaseGate((1,), 0.5)]
+        circuit = Circuit(2, gates)
+        gates.append(Swap(0, 1))  # the circuit keeps its own fixed tuple
         assert len(circuit) == 2
+        assert isinstance(circuit.gates, tuple)
         assert isinstance(circuit.gates[0], Hadamard)
         assert isinstance(circuit.gates[1], PhaseGate)
 

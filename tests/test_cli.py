@@ -352,6 +352,42 @@ class TestInputContract:
         assert not (out / "field_quantum.csv").exists()
 
     @pytest.mark.parametrize(
+        "args, z",
+        [
+            (["export-qasm", "--domain-length", "1e-160"], "0.1"),
+            (["export-qasm", "--qubits", "4", "--domain-length", "1e-6",
+              "--z", "1e303"], "1e+303"),
+            (["double-slit", "--qubits", "10", "--domain-length", "1e-160",
+              "--slit-separation", "5e-161", "--slit-width", "1e-161"], "0.1"),
+            (["double-slit", "--qubits", "10", "--domain-length", "1e-6",
+              "--slit-separation", "5e-7", "--slit-width", "1e-7", "--z", "1e303"], "1e+303"),
+        ],
+        ids=["qasm-tiny-spacing", "qasm-far", "slit-tiny-spacing", "slit-far"],
+    )
+    def test_overflowing_transfer_phase_names_z(self, tmp_path, capsys, args, z):
+        out = tmp_path / "run"
+        assert main([*args, "--out", str(out)]) == 2
+        assert f"transfer phase overflows at z = {z}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_propagate_tiny_spacing_names_z(self, tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((256, 2)), delimiter=",")
+        out = tmp_path / "run"
+        assert main(["propagate", "--input", str(field), "--dx", "1e-160", "--out", str(out)]) == 2
+        assert "transfer phase overflows at z = 0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("zr", ["1e303", "1e305"], ids=["phase-overflows", "z-is-inf"])
+    def test_gaussian_failing_distance_writes_nothing(self, tmp_path, capsys, zr):
+        # the distances before it run first and succeed
+        out = tmp_path / "run"
+        rc = main(["gaussian-2d", *TestGaussianCommand.ARGS, "--zr", zr, "--out", str(out)])
+        assert rc == 2
+        assert "propagation distance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, payload, key",
         [
             ("double-slit", {"z": 0.1}, "'z'"),

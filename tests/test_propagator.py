@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -108,7 +109,7 @@ class TestDecomposeMonomial:
 class TestBuildMonomialPropagator:
     def test_gate_kinds_follow_subset_size(self):
         circuit = build_monomial_propagator(4, 3, 0.2)
-        for gate, (qubits, _) in zip(circuit, decompose_monomial(4, 3)):
+        for gate, (qubits, _) in zip(circuit.gates, decompose_monomial(4, 3)):
             assert isinstance(gate, PhaseGate)
             assert gate.qubits == qubits
         counts = circuit.gate_count()
@@ -205,6 +206,20 @@ class TestDispersionPolynomial:
         poly = DispersionPolynomial({2: 1e308})
         with pytest.raises(ValueError, match="phase must be finite"):
             build_qbpm_circuit(8, GridSpec(256, 1e-5), 532e-9, 1e300, poly)
+
+    @pytest.mark.parametrize("z", [0.0, 0.1])
+    def test_tiny_spacing_phase_rejected(self, z):
+        # d_alpha**2 alone overflows a Python float, which raises OverflowError
+        message = f"transfer phase overflows at z = {z}"
+        with pytest.raises(ValueError, match=message):
+            build_qbpm_circuit(8, GridSpec(256, 1e-160), 532e-9, z)
+        with pytest.raises(ValueError, match=message):
+            build_qbpm_circuit_2d(4, GridSpec(16, 1e-160), 532e-9, z)
+
+    def test_infinite_angle_names_z(self):
+        poly = DispersionPolynomial({2: 1e308})
+        with pytest.raises(ValueError, match=r"transfer phase overflows at z = 1e\+300"):
+            poly.phase_angles(GridSpec(256, 1e-5), 1e300)
 
 
 class TestQbpmCircuit1d:
@@ -320,3 +335,39 @@ class TestQbpmCircuit2d:
         grid = GridSpec(2**13, 1e-5)
         with pytest.raises(ValueError):
             build_qbpm_circuit_2d(13, grid, 532e-9, 0.1)
+
+
+class TestPinnedGates:
+    """Builder gate lists, pinned by the sha256 of ``repr(circuit.gates)``.
+
+    Only Python-float and Fraction arithmetic makes the gates, so the
+    digests hold on every platform.  A change here means a builder emits
+    different gates or a different order, which moves the exported QASM
+    and the segment bounds a reader of the gate list relies on.
+    """
+
+    @staticmethod
+    def digest(circuit):
+        return hashlib.sha256(repr(circuit.gates).encode()).hexdigest()
+
+    def test_quadratic_1d(self):
+        circuit = build_qbpm_circuit(12, GridSpec.from_qubits(12, 0.1024), 532e-9, 0.1)
+        assert len(circuit) == 246
+        assert self.digest(circuit) == (
+            "ce30ad4b402a73ec0867ff3ba627fe38a63af87cb8043d0d47f47785be1a96f7"
+        )
+
+    def test_orders_2_3_4_1d(self):
+        poly = DispersionPolynomial({2: -1.3e-8, 3: 2.1e-12, 4: -4.7e-17})
+        circuit = build_qbpm_circuit(9, GridSpec.from_qubits(9, 0.1024), 532e-9, 0.3, poly)
+        assert len(circuit) == 527
+        assert self.digest(circuit) == (
+            "c521777365e3d4e90f76ada95127631eb41ffe39ea3b67c6c594ac41ab3d771c"
+        )
+
+    def test_quadratic_2d(self):
+        circuit = build_qbpm_circuit_2d(5, GridSpec.from_qubits(5, 0.4), 532e-9, 1e4)
+        assert len(circuit) == 98
+        assert self.digest(circuit) == (
+            "a0a00c55cd240cb9f5da49e391e72b6ee300e80ac9609d761584fab5c5e4cf79"
+        )
