@@ -18,6 +18,14 @@ MAX_QUBITS = 24
 _TWO_PI_EXACT = Fraction("6.28318530717958647692528676655900576839433879875021")
 
 
+def check_qubits(name: str, value, limit: int = MAX_QUBITS) -> None:
+    """The one qubit-budget check: register size ``value`` is an integer in ``1..limit``."""
+    # bool is an Integral, but True is no register size
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and 1 <= value <= limit):
+        raise ValueError(f"{name} must be an integer in 1..{limit}, got {value}")
+
+
 def fold_phase(phi: float) -> float:
     """Reduce an angle into (-pi, pi]."""
     r = math.fmod(phi, TWO_PI)
@@ -137,8 +145,7 @@ class Circuit:
     """
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        check_qubits("n_qubits", n_qubits)
         self.n_qubits = n_qubits
         self.gates = tuple(gates)
         for gate in self.gates:
@@ -153,12 +160,6 @@ class Circuit:
         for gate in self.gates:
             counts[_kind(gate)] += 1
         return counts
-
-    def shifted(self, offset: int, n_qubits: int) -> "Circuit":
-        """Same gate sequence with every qubit index moved up by ``offset``."""
-        if offset < 0:
-            raise ValueError("offset must be non-negative")
-        return Circuit(n_qubits, [_shifted(g, offset) for g in self.gates])
 
     def run(self, state):
         """Apply all gates in order to ``state``; returns the new state."""

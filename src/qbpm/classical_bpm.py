@@ -95,10 +95,13 @@ class Field:
 
 
 def wavenumber(wavelength: float) -> float:
-    """``k = 2 pi / wavelength`` for a positive, finite wavelength."""
+    """``k = 2 pi / wavelength`` for a positive wavelength whose ``k`` is finite."""
     if not 0.0 < wavelength < math.inf:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    return 2.0 * math.pi / wavelength
+    k = 2.0 * math.pi / wavelength
+    if k == math.inf:
+        raise ValueError(f"wavelength {wavelength} is too small: its wavenumber overflows float64")
+    return k
 
 
 def check_propagation_args(wavelength: float, z: float) -> float:
@@ -109,12 +112,14 @@ def check_propagation_args(wavelength: float, z: float) -> float:
     return k
 
 
-def _transfer(freq_squared: np.ndarray, k: float, z: float) -> np.ndarray:
-    """``exp(-i alpha**2 z / (2 k))`` at every frequency; a ``z`` so large
-    that the phase overflows raises.  Apart from ``_propagate`` so that the
-    phase array is freed before the inverse FFT."""
+def _transfer(grids: tuple[GridSpec, ...], k: float, z: float) -> np.ndarray:
+    """``exp(-i alpha**2 z / (2 k))`` (``alpha**2 + beta**2`` in 2D) at slots
+    ``0 .. N/2`` of each of ``grids``; slot ``N/2`` has the largest ``|alpha|``,
+    so a phase that overflows (a large ``z`` or a tiny spacing) raises.  Apart
+    from ``_propagate`` so that the phase array is freed before the inverse FFT."""
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = -1j * freq_squared * z / (2.0 * k)
+        slots = np.ix_(*(np.arange(g.n_points // 2 + 1) * g.d_alpha for g in grids))
+        phase = -1j * sum(f**2 for f in slots) * z / (2.0 * k)
     if not np.isfinite(phase).all():
         raise ValueError(f"propagation distance z = {z} overflows the transfer phase")
     return np.exp(phase)
@@ -130,15 +135,10 @@ def _folded_slots(n_points: int) -> np.ndarray:
 
 def _propagate(field: Field, wavelength: float, z: float) -> Field:
     k = check_propagation_args(wavelength, z)
-    # values[iy, ix]: the x frequencies run along the last axis.  The table
-    # holds alpha**2 (+ beta**2) for |alpha| at slots 0 .. N/2 only; slot
-    # N/2 has the largest |alpha|, so the overflow check sees it.
+    # values[iy, ix]: the x frequencies run along the last axis
     grids = tuple(reversed(field.grids))
-    freq_squared = sum(
-        f**2 for f in np.ix_(*(np.arange(g.n_points // 2 + 1) * g.d_alpha for g in grids))
-    )
     spectrum = np.fft.fftn(field.values, norm="ortho")
-    spectrum *= _transfer(freq_squared, k, z)[np.ix_(*(_folded_slots(g.n_points) for g in grids))]
+    spectrum *= _transfer(grids, k, z)[np.ix_(*(_folded_slots(g.n_points) for g in grids))]
     return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))
 
 

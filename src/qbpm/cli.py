@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical_bpm
-from .circuit import MAX_QUBITS
+from .circuit import MAX_QUBITS, check_qubits
 from .classical_bpm import Field, GridSpec
 from .propagator import DispersionPolynomial, build_monomial_propagator, build_qbpm_circuit
 from .qft import build_iqft, build_qft
@@ -242,8 +243,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     n = config.get("qubits")
     # gate-count and export-qasm size one register, as the double slit does
     _, _, limit, what = _SCENARIOS.get(config.get("scenario", command), _SCENARIOS["double-slit"])
-    if n is not None and not (1 <= n <= limit and float(n).is_integer()):
-        raise ValueError(f"{what} must be an integer in 1..{limit}, got {n}")
+    if n is not None:
+        # a JSON number such as 9.0 is the size 9
+        check_qubits(what, int(n) if n in range(1, limit + 1) else n, limit)
     return config
 
 
@@ -269,16 +271,25 @@ def _scenario(name: str, config: dict):
     return replace(default, **overrides)
 
 
+def _rayleigh_distances(params, config: dict) -> list[tuple[float, float]]:
+    """``(zr, z)`` for each ``zr`` of ``config``, ``z`` in meters."""
+    pairs = [(float(zr), float(zr) * params.rayleigh_length) for zr in config["zr"]]
+    for zr, z in pairs:
+        if z == math.inf:
+            raise ValueError(f"zr: propagation distance of {zr} Rayleigh lengths overflows")
+    return pairs
+
+
 def _error_rows(params, first_column: dict, shots, config: dict) -> list[tuple]:
     """The error-analysis table of ``params`` at each distance ``z`` that
     keys ``first_column``, as rows ``(first_column[z], z, n_shots, n_sim,
     mu, sigma)`` sorted by ``z`` and ``n_shots``."""
+    n_sim = int(config["sims"])
     table = error_analysis(
-        params, list(first_column), [int(s) for s in shots], int(config["sims"]),
-        int(config["seed"]),
+        params, list(first_column), [int(s) for s in shots], n_sim, int(config["seed"])
     )
     return [
-        (first_column[z], z, n_shots, stats.n_sim, stats.mu, stats.sigma)
+        (first_column[z], z, n_shots, n_sim, stats.mu, stats.sigma)
         for (z, n_shots), stats in sorted(table.items())
     ]
 
@@ -329,18 +340,16 @@ def cmd_gaussian_2d(config: dict) -> int:
     params = _scenario("gaussian-2d", config)
     at = gaussian_runner(params)
     grid = params.make_grid()
-    z0 = params.rayleigh_length
     shape = (grid.n_points, grid.n_points)
+    distances = _rayleigh_distances(params, config)
     # the sweep runs every distance, so one that fails stops the command
     # before any file is written
-    z_ratios = {float(zr) * z0: float(zr) for zr in config["zr"]}
+    z_ratios = {z: zr for zr, z in distances}
     sweep = _error_rows(params, z_ratios, config["sweep_shots"], config)
 
     out = _out_dir("gaussian-2d", config)
     waist_rows = []
-    for index, zr in enumerate(config["zr"]):
-        zr = float(zr)
-        z = zr * z0
+    for index, (zr, z) in enumerate(distances):
         state, w_ref = at(z)
         counts = state.sample(int(config["shots"]), int(config["seed"]))
         sampled = counts.frequencies().reshape(shape)
@@ -362,11 +371,15 @@ def cmd_gaussian_2d(config: dict) -> int:
 
 def _load_field(path: str) -> np.ndarray:
     try:
-        raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is rejected below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except OSError as exc:
         raise ValueError(f"cannot read input field: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"malformed input field file: {exc}") from exc
+    if raw.size == 0:
+        raise ValueError(f"input field file {path} holds no data")
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError("input field must have two columns: real,imaginary")
     values = raw[:, 0] + 1j * raw[:, 1]
@@ -384,8 +397,7 @@ def cmd_propagate(config: dict) -> int:
     z = float(config["z"][0])
     values = _load_field(config["input"])
     n = len(values).bit_length() - 1
-    if n > MAX_QUBITS:
-        raise ValueError(f"input field needs {n} qubits, budget is {MAX_QUBITS}")
+    check_qubits("qubits of the input field", n)
     grid = GridSpec(len(values), float(config["dx"]))
     state0 = StateVector.from_amplitudes(values)
 
@@ -425,7 +437,7 @@ def cmd_error_analysis(config: dict) -> int:
     if scenario_name == "double-slit":
         z_values = [float(z) for z in config["z"]]
     else:
-        z_values = [float(zr) * params.rayleigh_length for zr in config["zr"]]
+        z_values = [z for _, z in _rayleigh_distances(params, config)]
 
     rows = _error_rows(params, dict.fromkeys(z_values, scenario_name), config["shots"], config)
     out = _out_dir("error-analysis", config)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, scaled_phase
+from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, check_qubits, scaled_phase
 from .classical_bpm import GridSpec, check_propagation_args, wavenumber
 from .qft import BACKWARD, FORWARD, _qft
 
@@ -70,8 +70,7 @@ def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     ``coefficient * prod(a_j for j in qubits)`` over the result reproduces
     ``g**p`` exactly for every representable signed ``g``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_qubits("n", n)
     if not 1 <= p <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
     weights = signed_index_weights(n)
@@ -107,12 +106,12 @@ def _propagation_gates(
 ) -> list[Gate]:
     """Forward QFT, the transfer phase of every order, then the inverse QFT
     (the sign +1 transform reversed)."""
+    gates = _qft(n, FORWARD)  # checks n first
     if grid.n_qubits != n:
         raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
     check_propagation_args(wavelength, z)
     if polynomial is None:
         polynomial = DispersionPolynomial.paraxial(wavelength)
-    gates = _qft(n, FORWARD)
     for p, phi in polynomial.phase_angles(grid, z).items():
         gates += _monomial_gates(n, p, phi)
     gates += reversed(_qft(n, BACKWARD))
@@ -149,8 +148,6 @@ def build_qbpm_circuit_2d(
     copy shifted by ``n`` propagates the other axis on ``[n, 2n)``; the two
     commute, so arbitrary (including non-separable) 2D inputs propagate.
     """
-    total = 2 * n_per_axis
-    if total > MAX_QUBITS:
-        raise ValueError(f"{total} qubits exceed the register budget of {MAX_QUBITS}")
+    check_qubits("n_per_axis", n_per_axis, MAX_QUBITS // 2)
     axis = _propagation_gates(n_per_axis, grid, wavelength, z, polynomial)
-    return Circuit(total, axis + [_shifted(g, n_per_axis) for g in axis])
+    return Circuit(2 * n_per_axis, axis + [_shifted(g, n_per_axis) for g in axis])

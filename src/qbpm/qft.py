@@ -10,7 +10,7 @@ its gates in reverse order.
 """
 from __future__ import annotations
 
-from .circuit import MAX_QUBITS, TWO_PI, Circuit, Gate, Hadamard, PhaseGate, Swap
+from .circuit import TWO_PI, Circuit, Gate, Hadamard, PhaseGate, Swap, check_qubits
 
 FORWARD = -1
 BACKWARD = +1
@@ -22,8 +22,7 @@ def _qft(n: int, sign: int) -> list[Gate]:
     Uses ``n`` Hadamards, ``n*(n-1)/2`` controlled phases with angles
     ``sign * 2*pi / 2**j``, and ``n//2`` explicit qubit-reversal swaps.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+    check_qubits("n", n)
     gates: list[Gate] = []
     for target in range(n - 1, -1, -1):
         gates.append(Hadamard(target))

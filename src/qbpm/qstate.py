@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Hadamard, PhaseGate, Swap, check_register
+from .circuit import Hadamard, PhaseGate, Swap, check_qubits, check_register
 from .classical_bpm import is_power_of_two
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -38,14 +38,13 @@ _CHUNK = 1 << 16  # amplitudes per window block: 1 MiB of complex128
 
 @dataclass(frozen=True, eq=False)
 class SampleCounts:
-    """Histogram of ``total_shots`` basis-state measurements.
+    """Histogram of basis-state measurements.
 
     ``counts[i]`` is the number of shots that collapsed onto basis index
     ``i``: a dense 1-D integer array with one entry per basis state.
     """
 
     counts: np.ndarray
-    total_shots: int
 
     def __post_init__(self) -> None:
         counts = self.counts
@@ -54,8 +53,10 @@ class SampleCounts:
             raise ValueError("counts must be a 1-D integer array")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if int(counts.sum()) != self.total_shots:
-            raise ValueError("counts must sum to total_shots")
+
+    @property
+    def total_shots(self) -> int:
+        return int(self.counts.sum())
 
     def frequencies(self) -> np.ndarray:
         """Empirical probability of each basis index."""
@@ -253,14 +254,12 @@ def _compile(gates, n_qubits: int) -> list[tuple]:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm register of ``2**n_qubits`` complex amplitudes.
-
-    Qubit ``j`` carries binary digit ``a_j`` of the basis index, with
-    qubit 0 the least significant bit.  Gate application returns a new
-    state; a ``StateVector`` is never mutated after construction.
+    """Unit-norm register of ``2**n_qubits`` complex amplitudes, ``n_qubits``
+    read from their count.  Qubit ``j`` carries binary digit ``a_j`` of the
+    basis index, with qubit 0 the least significant bit.  Gate application
+    returns a new state; a ``StateVector`` is never mutated after construction.
     """
 
-    n_qubits: int
     amplitudes: np.ndarray
 
     @classmethod
@@ -277,21 +276,24 @@ class StateVector:
             if not np.any(arr):
                 raise ValueError("amplitudes must not all be zero")
             raise ValueError("the norm of the amplitudes overflows or underflows float64")
-        return cls(len(arr).bit_length() - 1, arr / norm)
+        return cls(arr / norm)
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int = 0) -> "StateVector":
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        check_qubits("n_qubits", n_qubits)
         if not 0 <= index < 1 << n_qubits:
             raise ValueError(f"index must be in 0..{(1 << n_qubits) - 1}, got {index}")
         amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
         amplitudes[index] = 1.0
-        return cls(n_qubits, amplitudes)
+        return cls(amplitudes)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.amplitudes).bit_length() - 1
 
     @property
     def n_states(self) -> int:
-        return 1 << self.n_qubits
+        return len(self.amplitudes)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -311,7 +313,7 @@ class StateVector:
         amplitudes = self.amplitudes.copy()
         for kernel, *args in plan:
             kernel(amplitudes, *args)
-        return StateVector(self.n_qubits, amplitudes)
+        return StateVector(amplitudes)
 
     @cached_property
     def _sampling_distribution(self) -> np.ndarray:
@@ -324,4 +326,4 @@ class StateVector:
         if not isinstance(n_shots, numbers.Integral) or n_shots < 1:
             raise ValueError(f"n_shots must be an integer >= 1, got {n_shots!r}")
         draws = np.random.default_rng(seed).multinomial(n_shots, self._sampling_distribution)
-        return SampleCounts(draws, n_shots)
+        return SampleCounts(draws)

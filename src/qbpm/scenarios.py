@@ -1,6 +1,9 @@
 """Experiment definitions: initial fields, analytic references, observables,
 and repeated-sampling error statistics for the two showcase setups, a 1D
-double slit and a 2D Gaussian beam."""
+double slit and a 2D Gaussian beam.
+
+Each parameter set checks its register size with ``check_qubits`` before a
+grid is built (``MAX_QUBITS // 2`` per axis for the two-axis beam)."""
 from __future__ import annotations
 
 import math
@@ -9,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import classical_bpm
-from .circuit import MAX_QUBITS
+from .circuit import MAX_QUBITS, check_qubits
 from .classical_bpm import Field, GridSpec, rmse, wavenumber
 from .propagator import build_qbpm_circuit, build_qbpm_circuit_2d
 from .qstate import SampleCounts, StateVector
@@ -21,13 +24,6 @@ def _check_finite(params) -> None:
         value = getattr(params, field.name)
         if not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite, got {value}")
-
-
-def _check_qubits(name: str, value, limit: int) -> None:
-    """Reject a qubit count that is not an integer in ``1..limit``, so no
-    grid beyond the register budget is ever built."""
-    if not isinstance(value, (int, np.integer)) or not 1 <= value <= limit:
-        raise ValueError(f"{name} must be an integer in 1..{limit}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class DoubleSlitParams:
 
     def __post_init__(self) -> None:
         _check_finite(self)
-        _check_qubits("n_qubits", self.n_qubits, MAX_QUBITS)
+        check_qubits("n_qubits", self.n_qubits)
         if not (self.slit_separation > self.slit_width > 0.0):
             raise ValueError("need slit_separation > slit_width > 0")
         if not (self.slit_separation + self.slit_width < self.domain_length):
@@ -99,8 +95,7 @@ class GaussianParams:
 
     def __post_init__(self) -> None:
         _check_finite(self)
-        # the register holds both axes
-        _check_qubits("n_qubits_per_axis", self.n_qubits_per_axis, MAX_QUBITS // 2)
+        check_qubits("n_qubits_per_axis", self.n_qubits_per_axis, MAX_QUBITS // 2)
         if not (self.waist > 0.0):
             raise ValueError("waist must be positive")
         if not (self.wavelength > 0.0):
@@ -168,8 +163,6 @@ class ErrorStats:
 
     mu: float
     sigma: float
-    n_sim: int
-    n_shots: int
 
 
 def _spread(errors: np.ndarray) -> float:
@@ -185,7 +178,7 @@ def error_analysis(
     n_sim: int,
     seed: int,
 ) -> dict[tuple[float, int], ErrorStats]:
-    """Repeated-sampling error table over every ``(z, n_shots)`` pair.
+    """Repeated-sampling error table: the ``ErrorStats`` of every ``(z, n_shots)`` key.
 
     The propagation circuit runs once per ``z``; each of the ``n_sim``
     repetitions then draws an independent shot histogram with run seed
@@ -220,12 +213,7 @@ def error_analysis(
             errors = np.array(
                 [run_error(state.sample(int(n_shots), seed + i), reference) for i in range(n_sim)]
             )
-            table[(float(z), int(n_shots))] = ErrorStats(
-                mu=float(np.mean(errors)),
-                sigma=_spread(errors),
-                n_sim=n_sim,
-                n_shots=int(n_shots),
-            )
+            table[(float(z), int(n_shots))] = ErrorStats(float(np.mean(errors)), _spread(errors))
     return table
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbpm import (
+    DEFAULT_DOUBLE_SLIT,
+    DEFAULT_GAUSSIAN_2D,
+    MAX_QUBITS,
     Circuit,
+    GridSpec,
     Hadamard,
     PhaseGate,
     StateVector,
     Swap,
+    build_iqft,
+    build_qbpm_circuit,
+    build_qbpm_circuit_2d,
+    build_qft,
+    decompose_monomial,
     fold_phase,
     scaled_phase,
 )
@@ -167,15 +177,6 @@ class TestCircuit:
             out = shuffled.run(state)
             assert np.max(np.abs(out.amplitudes - expected.amplitudes)) < 1e-12
 
-    def test_shifted_acts_on_upper_qubits(self):
-        inner = Circuit(2, [Hadamard(0), PhaseGate((0, 1), 0.9)])
-        shifted = inner.shifted(2, 4)
-        state = random_state(4, seed=14)
-        out = shifted.run(state)
-        # build the same operation explicitly on qubits 2 and 3
-        direct = Circuit(4, [Hadamard(2), PhaseGate((2, 3), 0.9)]).run(state)
-        assert np.max(np.abs(out.amplitudes - direct.amplitudes)) < 1e-14
-
 
 def simulate_qasm_gates(lines, n):
     """Tiny dense interpreter for the exported cp/cx lines (oracle for the
@@ -201,6 +202,43 @@ def simulate_qasm_gates(lines, n):
         else:
             raise AssertionError(f"unexpected line {line!r}")
     return psi
+
+
+# every entry point that takes a register size, as (make from size, limit)
+_TWO_POINTS = GridSpec(2, 1e-3)
+BUDGET_ENTRY_POINTS = {
+    "build_qft": (build_qft, MAX_QUBITS),
+    "build_iqft": (build_iqft, MAX_QUBITS),
+    "build_qbpm_circuit": (
+        lambda n: build_qbpm_circuit(n, _TWO_POINTS, 532e-9, 0.1), MAX_QUBITS
+    ),
+    "build_qbpm_circuit_2d": (
+        lambda n: build_qbpm_circuit_2d(n, _TWO_POINTS, 532e-9, 0.1), MAX_QUBITS // 2
+    ),
+    "build_monomial_propagator": (lambda n: build_monomial_propagator(n, 2, 0.3), MAX_QUBITS),
+    "decompose_monomial": (lambda n: decompose_monomial(n, 2), MAX_QUBITS),
+    "Circuit": (lambda n: Circuit(n, []), MAX_QUBITS),
+    "StateVector.basis_state": (StateVector.basis_state, MAX_QUBITS),
+    "DoubleSlitParams": (lambda n: replace(DEFAULT_DOUBLE_SLIT, n_qubits=n), MAX_QUBITS),
+    "GaussianParams": (
+        lambda n: replace(DEFAULT_GAUSSIAN_2D, n_qubits_per_axis=n), MAX_QUBITS // 2
+    ),
+}
+
+
+class TestQubitBudget:
+    """Every register size goes through the one check, with one message."""
+
+    @pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", ["zero", "over", 2.0, True], ids=str)
+    def test_size_outside_budget_rejected(self, entry, bad):
+        make, limit = BUDGET_ENTRY_POINTS[entry]
+        bad = {"zero": 0, "over": limit + 1}.get(bad, bad)
+        with pytest.raises(ValueError, match=f"must be an integer in 1[.][.]{limit}, got {bad}$"):
+            make(bad)
+
+    def test_numpy_integer_accepted(self):
+        assert Circuit(np.int64(2), [Hadamard(1)]).n_qubits == 2
 
 
 class TestQasmExport:

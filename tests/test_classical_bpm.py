@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qbpm import Field, GridSpec, propagate_1d, propagate_2d, rmse
+from qbpm.classical_bpm import wavenumber
 
 from oracles import full_spectrum_propagate
 
@@ -115,8 +116,26 @@ class TestPropagate1d:
         with pytest.raises(ValueError, match="z = 1e[+]300 overflows"):
             propagate_1d(field, 532e-9, 1e300)
 
+    def test_tiny_spacing_rejected(self):
+        # d_alpha**2 overflows: an error, not a numpy overflow warning
+        field = Field((GridSpec(256, 1e-160),), np.ones(256))
+        with pytest.raises(ValueError, match="overflows the transfer phase"):
+            propagate_1d(field, 532e-9, 0.1)
+
+    def test_subnormal_wavelength_rejected_by_name(self):
+        # 2 pi / 1e-320 overflows float64
+        with pytest.raises(ValueError, match="^wavelength 1e-320 is too small"):
+            wavenumber(1e-320)
+        with pytest.raises(ValueError, match="^wavelength 1e-320 is too small"):
+            propagate_1d(random_field_1d(4, 1e-5, seed=4), 1e-320, 0.1)
+
 
 class TestPropagate2d:
+    def test_tiny_spacing_rejected(self):
+        grid = GridSpec(16, 1e-160)
+        with pytest.raises(ValueError, match="overflows the transfer phase"):
+            propagate_2d(Field((grid, grid), np.ones((16, 16))), 532e-9, 0.1)
+
     def test_zero_distance_is_identity(self):
         rng = np.random.default_rng(5)
         grid = GridSpec(16, 1e-5)

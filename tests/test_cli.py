@@ -388,6 +388,57 @@ class TestInputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["double-slit", *FAST_SLIT],
+            ["gaussian-2d", *TestGaussianCommand.ARGS],
+            ["propagate", "--input", "FIELD"],
+            ["export-qasm"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_subnormal_wavelength_named(self, tmp_path, capsys, args):
+        # its wavenumber 2 pi / wavelength overflows float64
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((8, 2)), delimiter=",")
+        args = [str(field) if arg == "FIELD" else arg for arg in args]
+        out = tmp_path / "run"
+        assert main([*args, "--wavelength", "1e-320", "--out", str(out)]) == 2
+        assert "wavelength 1e-320 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gaussian-2d", *TestGaussianCommand.ARGS, "--zr", "1e305"],
+            ["error-analysis", *FAST_ERROR_GAUSSIAN, "--zr", "1e305"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_overflowing_zr_named(self, tmp_path, capsys, args):
+        # zr is finite, but zr times the Rayleigh length is not
+        out = tmp_path / "run"
+        assert main([*args, "--out", str(out)]) == 2
+        assert "zr: propagation distance of 1e+305 Rayleigh lengths" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gaussian_tiny_spacing_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["gaussian-2d", "--domain-length", "1e-160", "--waist", "5e-161", "--sims", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "overflows the transfer phase" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_propagate_empty_input_is_config_error(self, tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        field.write_text("")
+        out = tmp_path / "run"
+        assert main(["propagate", "--input", str(field), "--out", str(out)]) == 2
+        assert "holds no data" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, payload, key",
         [
             ("double-slit", {"z": 0.1}, "'z'"),

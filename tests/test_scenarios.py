@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -193,7 +193,7 @@ class TestWaistEstimators:
         grid = params.make_grid()
         histogram = np.zeros(grid.n_points**2, dtype=np.int64)
         histogram[0] = 500  # basis index 0 is the origin
-        counts = SampleCounts(histogram, 500)
+        counts = SampleCounts(histogram)
         assert waist_from_counts(counts, grid) == 0.0
 
     def test_delta_field_gives_zero(self):
@@ -285,7 +285,7 @@ class TestErrorAnalysis:
         assert set(table) == {(0.0, 200), (0.0, 400), (0.05, 200), (0.05, 400)}
         stats = table[(0.05, 400)]
         assert isinstance(stats, ErrorStats)
-        assert stats.n_sim == 5 and stats.n_shots == 400
+        assert [field.name for field in fields(stats)] == ["mu", "sigma"]
         assert stats.mu > 0 and stats.sigma >= 0
         again = error_analysis(params, [0.0, 0.05], [200, 400], n_sim=5, seed=9)
         assert again == table
