@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Union
 
 TWO_PI = 2.0 * math.pi
@@ -13,9 +13,11 @@ TWO_PI = 2.0 * math.pi
 # amplitudes are 256 MiB.  Two-axis registers get MAX_QUBITS // 2 per axis.
 MAX_QUBITS = 24
 
-# 2*pi to 50 decimal digits, used to reduce large integer multiples of a
-# phase without the rounding a double-precision product would introduce.
-_TWO_PI_EXACT = Fraction("6.28318530717958647692528676655900576839433879875021")
+# 2*pi to 50 decimal digits as the ratio of two integers, used to reduce
+# large integer multiples of a phase without the rounding a double-precision
+# product would introduce.
+_TWO_PI_NUMERATOR = 628318530717958647692528676655900576839433879875021
+_TWO_PI_DENOMINATOR = 10**50
 
 
 def check_qubits(name: str, value, limit: int = MAX_QUBITS) -> None:
@@ -39,21 +41,32 @@ def fold_phase(phi: float) -> float:
 def scaled_phase(phi: float, coefficient: int) -> float:
     """``coefficient * phi`` reduced into (-pi, pi].
 
-    The product is formed in exact rational arithmetic; coefficients such
-    as ``2**(n+l)`` would otherwise push the reduction error well above
-    the per-gate phase accuracy the diagonal synthesis relies on.
+    The product is reduced modulo the 50-digit ``2*pi`` in exact integer
+    arithmetic; coefficients such as ``2**(n+l)`` would otherwise push the
+    reduction error well above the per-gate phase accuracy the diagonal
+    synthesis relies on.  With ``phi = a / b`` exactly, the multiple of
+    ``2*pi`` nearest the product is taken, ties to even, and the remainder
+    is one correctly rounded integer division: the same double, signed zero
+    included, as the product and reduction done in ``Fraction`` arithmetic.
     """
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
-    x = Fraction(phi) * coefficient
-    m = round(x / _TWO_PI_EXACT)
-    return fold_phase(float(x - m * _TWO_PI_EXACT))
+    a, b = phi.as_integer_ratio()
+    # coefficient * phi / (2*pi) = numerator / denominator; index() makes a
+    # numpy integer coefficient a Python int, which cannot overflow
+    numerator = a * operator.index(coefficient) * _TWO_PI_DENOMINATOR
+    denominator = b * _TWO_PI_NUMERATOR
+    multiple, remainder = divmod(numerator, denominator)
+    if 2 * remainder > denominator or (2 * remainder == denominator and multiple % 2):
+        remainder -= denominator  # round the multiple up
+    return fold_phase(remainder / (b * _TWO_PI_DENOMINATOR))
 
 
 def _check_indices(*indices: int) -> None:
     for q in indices:
-        # bool is an Integral, but would export as q[True]
-        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+        # a plain int passes without the costlier Integral check; bool is an
+        # Integral, but would export as q[True]
+        if type(q) is not int and (isinstance(q, bool) or not isinstance(q, numbers.Integral)):
             raise ValueError(f"qubit index must be an integer, got {q!r}")
         if q < 0:
             raise ValueError(f"qubit index must be non-negative, got {q}")

@@ -41,10 +41,16 @@ class GridSpec:
             raise ValueError(f"dx must be positive and finite, got {self.dx}")
 
     @classmethod
-    def from_qubits(cls, n_qubits: int, length: float) -> "GridSpec":
-        """Grid of ``2**n_qubits`` points spanning ``length`` meters."""
+    def from_qubits(cls, n_qubits: int, domain_length: float) -> "GridSpec":
+        """Grid of ``2**n_qubits`` points spanning ``domain_length`` meters."""
         n_points = 1 << n_qubits
-        return cls(n_points, length / n_points)
+        dx = domain_length / n_points
+        if dx == 0.0 and domain_length > 0.0:
+            raise ValueError(
+                f"domain_length {domain_length} is too small: "
+                f"its spacing over {n_points} points underflows to 0"
+            )
+        return cls(n_points, dx)
 
     @property
     def n_qubits(self) -> int:

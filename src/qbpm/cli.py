@@ -280,6 +280,29 @@ def _rayleigh_distances(params, config: dict) -> list[tuple[float, float]]:
     return pairs
 
 
+def _paraxial_polynomial(
+    wavelength: float, grid: GridSpec, order: int, distances
+) -> DispersionPolynomial:
+    """The paraxial coefficient of ``wavelength`` at ``order``, its transfer
+    phase checked at each of ``distances``.  The phase is the coefficient
+    times ``grid.d_alpha**order`` times ``z``: one that overflows per meter,
+    on a grid whose ``d_alpha**order`` does not, names the wavelength, and
+    any other overflow names its ``z``."""
+    coefficient = DispersionPolynomial.paraxial(wavelength).orders[2]
+    try:
+        step = grid.d_alpha**order
+    except OverflowError:  # a tiny spacing
+        step = math.inf
+    if step < math.inf and not math.isfinite(coefficient * step):
+        raise ValueError(
+            f"wavelength {wavelength} is too large: the transfer phase per meter overflows"
+        )
+    polynomial = DispersionPolynomial({order: coefficient})
+    for z in distances:
+        polynomial.phase_angles(grid, float(z))
+    return polynomial
+
+
 def _error_rows(params, first_column: dict, shots, config: dict) -> list[tuple]:
     """The error-analysis table of ``params`` at each distance ``z`` that
     keys ``first_column``, as rows ``(first_column[z], z, n_shots, n_sim,
@@ -310,9 +333,7 @@ def cmd_double_slit(config: dict) -> int:
     order = np.argsort(grid.coordinates(), kind="stable")
     x_sorted = grid.coordinates()[order]
     # a resolved z can fail at(z) only on its transfer phase: check each first
-    paraxial = DispersionPolynomial.paraxial(params.wavelength)
-    for z in config["z"]:
-        paraxial.phase_angles(grid, float(z))
+    _paraxial_polynomial(params.wavelength, grid, 2, config["z"])
 
     out = _out_dir("double-slit", config)
     rmse_rows = []
@@ -512,10 +533,10 @@ def cmd_export_qasm(config: dict) -> int:
         raise ValueError("export-qasm expects exactly one --z value")
     grid = GridSpec.from_qubits(n, float(config["domain_length"]))
     wavelength = float(config["wavelength"])
+    z = float(config["z"][0])
     # every order gets the paraxial (quadratic) coefficient
-    quadratic = DispersionPolynomial.paraxial(wavelength).orders[2]
-    polynomial = DispersionPolynomial({int(config["order"]): quadratic})
-    circuit = build_qbpm_circuit(n, grid, wavelength, float(config["z"][0]), polynomial)
+    polynomial = _paraxial_polynomial(wavelength, grid, int(config["order"]), [z])
+    circuit = build_qbpm_circuit(n, grid, wavelength, z, polynomial)
     text = circuit.to_qasm_text()
     out = _out_dir("export-qasm", config)
     path = out / "qbpm_circuit.qasm"

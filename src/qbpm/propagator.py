@@ -12,7 +12,9 @@ sign-bit terms themselves; no index reshuffling happens anywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, check_qubits, scaled_phase
@@ -20,6 +22,14 @@ from .classical_bpm import GridSpec, check_propagation_args, wavenumber
 from .qft import BACKWARD, FORWARD, _qft
 
 MAX_ORDER = 4
+
+
+def _check_order(name: str, p) -> None:
+    """Polynomial order ``p`` is an integer in ``1..MAX_ORDER``."""
+    # bool is an Integral, but True is no order
+    integer = isinstance(p, numbers.Integral) and not isinstance(p, bool)
+    if not (integer and 1 <= p <= MAX_ORDER):
+        raise ValueError(f"{name} must be an integer in 1..{MAX_ORDER}, got {p}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +41,7 @@ class DispersionPolynomial:
     def __post_init__(self) -> None:
         orders = dict(self.orders)
         for p, c in orders.items():
-            if not isinstance(p, int) or not 1 <= p <= MAX_ORDER:
-                raise ValueError(f"polynomial order must be an integer in 1..{MAX_ORDER}, got {p}")
+            _check_order("polynomial order", p)
             if not math.isfinite(c):
                 raise ValueError(f"coefficient of order {p} must be finite, got {c}")
         object.__setattr__(self, "orders", orders)
@@ -70,9 +79,16 @@ def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     ``coefficient * prod(a_j for j in qubits)`` over the result reproduces
     ``g**p`` exactly for every representable signed ``g``.
     """
+    # checked before the cache, where 2.0 or True would find the entry of 2 or 1
     check_qubits("n", n)
-    if not 1 <= p <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
+    _check_order("order", p)
+    return list(_expansion(int(n), int(p)))
+
+
+@cache
+def _expansion(n: int, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The terms of ``decompose_monomial(n, p)``, made once per ``(n, p)``
+    per process: they do not depend on the phase."""
     weights = signed_index_weights(n)
     terms: dict[frozenset[int], int] = {frozenset((j,)): weights[j] for j in range(n)}
     for _ in range(p - 1):
@@ -82,10 +98,8 @@ def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
                 key = subset | {j}
                 product[key] = product.get(key, 0) + coefficient * weights[j]
         terms = product
-    return sorted(
-        ((tuple(sorted(subset)), c) for subset, c in terms.items() if c != 0),
-        key=lambda item: (len(item[0]), item[0]),
-    )
+    nonzero = ((tuple(sorted(subset)), c) for subset, c in terms.items() if c != 0)
+    return tuple(sorted(nonzero, key=lambda item: (len(item[0]), item[0])))
 
 
 def _monomial_gates(n: int, p: int, phi: float) -> list[Gate]:
@@ -106,7 +120,7 @@ def _propagation_gates(
 ) -> list[Gate]:
     """Forward QFT, the transfer phase of every order, then the inverse QFT
     (the sign +1 transform reversed)."""
-    gates = _qft(n, FORWARD)  # checks n first
+    gates = list(_qft(n, FORWARD))  # checks n first
     if grid.n_qubits != n:
         raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
     check_propagation_args(wavelength, z)

@@ -10,19 +10,29 @@ its gates in reverse order.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from .circuit import TWO_PI, Circuit, Gate, Hadamard, PhaseGate, Swap, check_qubits
 
 FORWARD = -1
 BACKWARD = +1
 
 
-def _qft(n: int, sign: int) -> list[Gate]:
+def _qft(n: int, sign: int) -> tuple[Gate, ...]:
     """Gates of the Fourier transform on ``n`` qubits with exponent ``sign``.
 
     Uses ``n`` Hadamards, ``n*(n-1)/2`` controlled phases with angles
     ``sign * 2*pi / 2**j``, and ``n//2`` explicit qubit-reversal swaps.
+    The gates do not depend on anything else, so each ``(n, sign)`` is made
+    once per process and shared: gates are immutable.
     """
+    # checked before the cache, where 2.0 or True would find the entry of 2 or 1
     check_qubits("n", n)
+    return _qft_gates(int(n), sign)
+
+
+@cache
+def _qft_gates(n: int, sign: int) -> tuple[Gate, ...]:
     gates: list[Gate] = []
     for target in range(n - 1, -1, -1):
         gates.append(Hadamard(target))
@@ -30,7 +40,7 @@ def _qft(n: int, sign: int) -> list[Gate]:
             angle = sign * TWO_PI / 2 ** (target - control + 1)
             gates.append(PhaseGate((control, target), angle))
     gates.extend(Swap(q, n - 1 - q) for q in range(n // 2))
-    return gates
+    return tuple(gates)
 
 
 def build_qft(n: int) -> Circuit:

@@ -53,6 +53,9 @@ class SampleCounts:
             raise ValueError("counts must be a 1-D integer array")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
+        # frequencies() divides by the total
+        if not counts.any():
+            raise ValueError("counts must hold at least one shot")
 
     @property
     def total_shots(self) -> int:
@@ -262,12 +265,15 @@ class StateVector:
 
     amplitudes: np.ndarray
 
+    def __post_init__(self) -> None:
+        count = len(self.amplitudes)
+        if count < 2 or not is_power_of_two(count):
+            raise ValueError(f"amplitude count must be a power of two >= 2, got {count}")
+
     @classmethod
     def from_amplitudes(cls, values) -> "StateVector":
         """Normalize ``values`` into a state; length must be a power of two >= 2."""
         arr = np.ravel(np.asarray(values, dtype=np.complex128))
-        if len(arr) < 2 or not is_power_of_two(len(arr)):
-            raise ValueError(f"amplitude count must be a power of two >= 2, got {len(arr)}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         with np.errstate(over="ignore", under="ignore"):

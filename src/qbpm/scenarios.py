@@ -102,6 +102,14 @@ class GaussianParams:
             raise ValueError("wavelength must be positive")
         if not (self.domain_length > 0.0):
             raise ValueError("domain_length must be positive")
+        try:
+            rayleigh_length = self.rayleigh_length
+        except OverflowError:  # waist**2
+            rayleigh_length = math.inf
+        if rayleigh_length == math.inf:
+            raise ValueError(
+                f"waist {self.waist} is too large: its Rayleigh length overflows float64"
+            )
 
     @property
     def wavenumber(self) -> float:

@@ -4,17 +4,35 @@
 Python loop over the basis, so both are meant for registers of at most
 about 12 qubits.  ``full_spectrum_propagate`` is the classical propagator
 with the transfer phase evaluated at every slot, not once per ``|alpha|``.
+``fraction_scaled_phase`` reduces a phase multiple in ``Fraction``
+arithmetic, apart from the library's integer reduction.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from qbpm import BACKWARD, FORWARD, DoubleSlitParams, Field, scaled_phase
+from qbpm import BACKWARD, FORWARD, DoubleSlitParams, Field, fold_phase
 from qbpm.classical_bpm import is_power_of_two, wavenumber
 from qbpm.propagator import MAX_ORDER
+
+
+# 2*pi to 50 decimal digits, the modulus of the library's reduction
+_TWO_PI_EXACT = Fraction("6.28318530717958647692528676655900576839433879875021")
+
+
+def fraction_scaled_phase(phi: float, coefficient: int) -> float:
+    """``coefficient * phi`` reduced into (-pi, pi], with the product, the
+    nearest multiple of ``2*pi`` and the remainder all exact rationals."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+    x = Fraction(phi) * coefficient
+    m = round(x / _TWO_PI_EXACT)
+    return fold_phase(float(x - m * _TWO_PI_EXACT))
 
 
 @lru_cache(maxsize=8)
@@ -51,7 +69,7 @@ def diagonal_oracle(n: int, phase_by_order: Mapping[int, float]) -> np.ndarray:
     theta = np.zeros(n_states, dtype=float)
     for b in range(n_states):
         g = b - n_states if b >= half else b
-        theta[b] = sum(scaled_phase(phi, g**p) for p, phi in phase_by_order.items())
+        theta[b] = sum(fraction_scaled_phase(phi, g**p) for p, phi in phase_by_order.items())
     return np.exp(1j * theta)
 
 

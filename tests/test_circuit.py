@@ -1,10 +1,11 @@
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbpm import (
@@ -26,6 +27,8 @@ from qbpm import (
     scaled_phase,
 )
 from qbpm.propagator import build_monomial_propagator
+
+from oracles import fraction_scaled_phase
 
 
 def random_state(n, seed):
@@ -67,6 +70,40 @@ class TestPhaseFolding:
         ref = float(x - (x // two_pi) * two_pi)
         assert math.cos(scaled_phase(phi, c)) == pytest.approx(math.cos(ref), abs=1e-12)
         assert math.sin(scaled_phase(phi, c)) == pytest.approx(math.sin(ref), abs=1e-12)
+
+
+# every distinct coefficient of the expansions at the largest register of
+# orders 2, 3 and 4
+_EXPANSION_COEFFICIENTS = sorted(
+    {c for n, p in ((24, 2), (18, 3), (16, 4)) for _, c in decompose_monomial(n, p)}
+)
+_TINY = sys.float_info.min  # the least normal double
+_PHASES = st.one_of(
+    st.floats(-_TINY, _TINY),  # subnormals and both zeros
+    st.sampled_from([math.pi, -math.pi]),
+    st.builds(math.copysign, st.floats(1e-12, 1e3), st.sampled_from([1.0, -1.0])),
+    st.builds(math.copysign, st.floats(1e299, 1e301), st.sampled_from([1.0, -1.0])),
+)
+
+
+class TestScaledPhaseOracle:
+    """The integer reduction gives the bits of the ``Fraction`` one."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(_PHASES)
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(math.pi)
+    @example(1e300)
+    def test_bit_for_bit_on_every_expansion_coefficient(self, phi):
+        # float.hex tells -0.0 from 0.0
+        got = [scaled_phase(phi, c).hex() for c in _EXPANSION_COEFFICIENTS]
+        assert got == [fraction_scaled_phase(phi, c).hex() for c in _EXPANSION_COEFFICIENTS]
+
+    def test_numpy_integer_coefficient(self):
+        assert scaled_phase(0.3, np.int64(2**40 + 7)) == fraction_scaled_phase(0.3, 2**40 + 7)
 
 
 class TestGateValidation:

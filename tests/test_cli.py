@@ -422,6 +422,34 @@ class TestInputContract:
         assert "zr: propagation distance of 1e+305 Rayleigh lengths" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_waist_named(self, tmp_path, capsys):
+        # waist**2, and so the Rayleigh length, overflows float64
+        out = tmp_path / "run"
+        argv = ["gaussian-2d", *TestGaussianCommand.ARGS, "--waist", "1e308"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: waist 1e+308 is too large")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args", [["gaussian-2d", *TestGaussianCommand.ARGS], ["export-qasm"]], ids=lambda a: a[0]
+    )
+    def test_underflowing_domain_length_named(self, tmp_path, capsys, args):
+        # domain_length / 2**n rounds to a zero grid spacing
+        out = tmp_path / "run"
+        assert main([*args, "--domain-length", "5e-324", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: domain_length 5e-324 is too small")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args", [["double-slit", *FAST_SLIT], ["export-qasm"]], ids=lambda a: a[0]
+    )
+    def test_huge_wavelength_named(self, tmp_path, capsys, args):
+        # the transfer phase per meter overflows on a grid whose frequencies do not
+        out = tmp_path / "run"
+        assert main([*args, "--wavelength", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: wavelength 1e+308 is too large")
+        assert not out.exists()
+
     def test_gaussian_tiny_spacing_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["gaussian-2d", "--domain-length", "1e-160", "--waist", "5e-161", "--sims", "2"]

@@ -61,6 +61,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StateVector.from_amplitudes([1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("count", [0, 1, 3, 6])
+    def test_constructor_rejects_bad_lengths(self, count):
+        # n_qubits is read from the length, so every length must be 2**n
+        with pytest.raises(ValueError, match=f"power of two >= 2, got {count}$"):
+            StateVector(np.ones(count, dtype=np.complex128))
+
     def test_rejects_zero_and_non_finite(self):
         with pytest.raises(ValueError, match="amplitudes must not all be zero"):
             StateVector.from_amplitudes([0.0, 0.0])
@@ -575,6 +581,12 @@ class TestSampleCounts:
     def test_non_integer_vector_rejected(self, counts):
         with pytest.raises(ValueError, match="1-D integer array"):
             SampleCounts(counts)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_shots_rejected(self):
+        # the frequencies would divide by a zero total
+        with pytest.raises(ValueError, match="at least one shot"):
+            SampleCounts(np.zeros(4, dtype=np.int64))
 
     def test_array_round_trip(self):
         counts = SampleCounts(np.array([0, 3, 5, 0]))
