@@ -20,9 +20,9 @@ _TWO_PI_NUMERATOR = 628318530717958647692528676655900576839433879875021
 _TWO_PI_DENOMINATOR = 10**50
 
 
-def check_qubits(name: str, value, limit: int = MAX_QUBITS) -> None:
-    """The one qubit-budget check: register size ``value`` is an integer in ``1..limit``."""
-    # bool is an Integral, but True is no register size
+def check_integer(name: str, value, limit: int = MAX_QUBITS) -> None:
+    """The one integer-range check, of a register size or polynomial order."""
+    # bool is an Integral, but True is no size or order
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integer and 1 <= value <= limit):
         raise ValueError(f"{name} must be an integer in 1..{limit}, got {value}")
@@ -158,7 +158,7 @@ class Circuit:
     """
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
-        check_qubits("n_qubits", n_qubits)
+        check_integer("n_qubits", n_qubits)
         self.n_qubits = n_qubits
         self.gates = tuple(gates)
         for gate in self.gates:

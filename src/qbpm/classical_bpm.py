@@ -20,6 +20,20 @@ def is_power_of_two(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
+def check_positive(name: str, value) -> None:
+    """The one check of a length, wavelength or tolerance: positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+class PhaseOverflowError(ValueError):
+    """The transfer phase at propagation distance ``z`` overflows float64."""
+
+    def __init__(self, message: str, z: float) -> None:
+        super().__init__(message)
+        self.z = z
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid of ``n_points = 2**n`` samples with spacing ``dx``.
@@ -37,20 +51,14 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.n_points) or self.n_points < 2:
             raise ValueError(f"n_points must be a power of two >= 2, got {self.n_points}")
-        if not 0.0 < self.dx < math.inf:
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        _check_spacing("dx", self.dx, self.n_points, self.dx)
 
     @classmethod
     def from_qubits(cls, n_qubits: int, domain_length: float) -> "GridSpec":
         """Grid of ``2**n_qubits`` points spanning ``domain_length`` meters."""
         n_points = 1 << n_qubits
-        dx = domain_length / n_points
-        if dx == 0.0 and domain_length > 0.0:
-            raise ValueError(
-                f"domain_length {domain_length} is too small: "
-                f"its spacing over {n_points} points underflows to 0"
-            )
-        return cls(n_points, dx)
+        _check_spacing("domain_length", domain_length, n_points, domain_length / n_points)
+        return cls(n_points, domain_length / n_points)
 
     @property
     def n_qubits(self) -> int:
@@ -58,7 +66,7 @@ class GridSpec:
 
     @property
     def d_alpha(self) -> float:
-        return 2.0 * math.pi / (self.n_points * self.dx)
+        return _frequency_spacing(self.n_points, self.dx)
 
     def signed_indices(self) -> np.ndarray:
         """Two's-complement value of every array slot, in slot order."""
@@ -68,6 +76,18 @@ class GridSpec:
     def coordinates(self) -> np.ndarray:
         """Physical coordinate of every array slot (meters)."""
         return self.signed_indices() * self.dx
+
+
+def _frequency_spacing(n_points: int, dx: float) -> float:
+    return 2.0 * math.pi / (n_points * dx)
+
+
+def _check_spacing(name: str, value: float, n_points: int, dx: float) -> None:
+    """Key ``name`` = ``value`` sets ``dx``: positive, finite, and both spacings in float64."""
+    check_positive(name, value)
+    if dx == 0.0 or _frequency_spacing(n_points, dx) == math.inf:
+        what = "spacing underflows to 0" if dx == 0.0 else "frequency spacing overflows float64"
+        raise ValueError(f"{name} {value} is too small: over {n_points} points, its {what}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +122,7 @@ class Field:
 
 def wavenumber(wavelength: float) -> float:
     """``k = 2 pi / wavelength`` for a positive wavelength whose ``k`` is finite."""
-    if not 0.0 < wavelength < math.inf:
-        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    check_positive("wavelength", wavelength)
     k = 2.0 * math.pi / wavelength
     if k == math.inf:
         raise ValueError(f"wavelength {wavelength} is too small: its wavenumber overflows float64")
@@ -127,7 +146,7 @@ def _transfer(grids: tuple[GridSpec, ...], k: float, z: float) -> np.ndarray:
         slots = np.ix_(*(np.arange(g.n_points // 2 + 1) * g.d_alpha for g in grids))
         phase = -1j * sum(f**2 for f in slots) * z / (2.0 * k)
     if not np.isfinite(phase).all():
-        raise ValueError(f"propagation distance z = {z} overflows the transfer phase")
+        raise PhaseOverflowError(f"propagation distance z = {z} overflows the transfer phase", z)
     return np.exp(phase)
 
 

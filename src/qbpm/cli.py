@@ -26,14 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical_bpm
-from .circuit import MAX_QUBITS, check_qubits
-from .classical_bpm import Field, GridSpec
+from .circuit import MAX_QUBITS, check_integer
+from .classical_bpm import Field, GridSpec, PhaseOverflowError, check_positive
 from .propagator import DispersionPolynomial, build_monomial_propagator, build_qbpm_circuit
 from .qft import build_iqft, build_qft
 from .qstate import StateVector
 from .scenarios import (
     DEFAULT_DOUBLE_SLIT,
     DEFAULT_GAUSSIAN_2D,
+    GaussianParams,
     double_slit_runner,
     error_analysis,
     gaussian_runner,
@@ -151,11 +152,6 @@ _CHOICES = {"format": ("csv", "json"), "scenario": ("double-slit", "gaussian-2d"
 _BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "order": 1, "z": 0.0, "zr": 0.0}
 _INT64_MAX = 2**63 - 1
 
-# length, wavelength and tolerance keys: positive and finite when set
-_POSITIVE = (
-    "wavelength", "slit_separation", "slit_width", "domain_length", "waist", "dx", "tolerance"
-)
-
 _HELP = {
     "qubits": "register size (per axis for gaussian-2d)",
     "shots": "measurement shots",
@@ -237,15 +233,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 )
             if isinstance(low, int) and not (low <= value <= _INT64_MAX and value == int(value)):
                 raise ValueError(f"{key} must be an integer in {low}..{_INT64_MAX}, got {value}")
-    for key, value in config.items():
-        if key in _POSITIVE and value is not None and not 0.0 < value < math.inf:
-            raise ValueError(f"{key} must be positive and finite, got {value}")
     n = config.get("qubits")
     # gate-count and export-qasm size one register, as the double slit does
     _, _, limit, what = _SCENARIOS.get(config.get("scenario", command), _SCENARIOS["double-slit"])
     if n is not None:
         # a JSON number such as 9.0 is the size 9
-        check_qubits(what, int(n) if n in range(1, limit + 1) else n, limit)
+        check_integer(what, int(n) if n in range(1, limit + 1) else n, limit)
     return config
 
 
@@ -304,13 +297,22 @@ def _paraxial_polynomial(
 
 
 def _error_rows(params, first_column: dict, shots, config: dict) -> list[tuple]:
-    """The error-analysis table of ``params`` at each distance ``z`` that
-    keys ``first_column``, as rows ``(first_column[z], z, n_shots, n_sim,
-    mu, sigma)`` sorted by ``z`` and ``n_shots``."""
+    """The error-analysis table of ``params`` at each ``z`` keying ``first_column``,
+    as rows ``(first_column[z], z, n_shots, n_sim, mu, sigma)`` sorted by ``z``
+    and ``n_shots``.  The beam's overflowing phase names ``zr``, not its ``z``."""
     n_sim = int(config["sims"])
-    table = error_analysis(
-        params, list(first_column), [int(s) for s in shots], n_sim, int(config["seed"])
-    )
+    try:
+        table = error_analysis(
+            params, list(first_column), [int(s) for s in shots], n_sim, int(config["seed"])
+        )
+    except PhaseOverflowError as exc:
+        if not isinstance(params, GaussianParams):
+            raise
+        zr = {z: zr for zr, z in _rayleigh_distances(params, config)}[exc.z]
+        raise ValueError(
+            f"zr: propagation distance of {zr} Rayleigh lengths of waist {params.waist} "
+            "overflows the transfer phase"
+        ) from None
     return [
         (first_column[z], z, n_shots, n_sim, stats.mu, stats.sigma)
         for (z, n_shots), stats in sorted(table.items())
@@ -362,6 +364,7 @@ def cmd_gaussian_2d(config: dict) -> int:
     at = gaussian_runner(params)
     grid = params.make_grid()
     shape = (grid.n_points, grid.n_points)
+    _paraxial_polynomial(params.wavelength, grid, 2, ())  # the sweep checks each z
     distances = _rayleigh_distances(params, config)
     # the sweep runs every distance, so one that fails stops the command
     # before any file is written
@@ -416,16 +419,17 @@ def cmd_propagate(config: dict) -> int:
     if len(config["z"]) != 1:
         raise ValueError("propagate expects exactly one --z value")
     z = float(config["z"][0])
+    check_positive("tolerance", config["tolerance"])
     values = _load_field(config["input"])
     n = len(values).bit_length() - 1
-    check_qubits("qubits of the input field", n)
+    check_integer("qubits of the input field", n)
     grid = GridSpec(len(values), float(config["dx"]))
     state0 = StateVector.from_amplitudes(values)
 
-    quantum = build_qbpm_circuit(n, grid, float(config["wavelength"]), z).run(state0)
-    classical = classical_bpm.propagate_1d(
-        Field((grid,), state0.amplitudes), float(config["wavelength"]), z
-    )
+    wavelength = float(config["wavelength"])
+    polynomial = _paraxial_polynomial(wavelength, grid, 2, [z])
+    quantum = build_qbpm_circuit(n, grid, wavelength, z, polynomial).run(state0)
+    classical = classical_bpm.propagate_1d(Field((grid,), state0.amplitudes), wavelength, z)
     deviation = float(np.max(np.abs(quantum.amplitudes - classical.values)))
     # a NaN deviation is within no tolerance
     within_tolerance = deviation < float(config["tolerance"])

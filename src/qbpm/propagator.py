@@ -12,24 +12,15 @@ sign-bit terms themselves; no index reshuffling happens anywhere.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Mapping
 
-from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, check_qubits, scaled_phase
-from .classical_bpm import GridSpec, check_propagation_args, wavenumber
+from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, check_integer, scaled_phase
+from .classical_bpm import GridSpec, PhaseOverflowError, check_propagation_args, wavenumber
 from .qft import BACKWARD, FORWARD, _qft
 
 MAX_ORDER = 4
-
-
-def _check_order(name: str, p) -> None:
-    """Polynomial order ``p`` is an integer in ``1..MAX_ORDER``."""
-    # bool is an Integral, but True is no order
-    integer = isinstance(p, numbers.Integral) and not isinstance(p, bool)
-    if not (integer and 1 <= p <= MAX_ORDER):
-        raise ValueError(f"{name} must be an integer in 1..{MAX_ORDER}, got {p}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,7 @@ class DispersionPolynomial:
     def __post_init__(self) -> None:
         orders = dict(self.orders)
         for p, c in orders.items():
-            _check_order("polynomial order", p)
+            check_integer("polynomial order", p, MAX_ORDER)
             if not math.isfinite(c):
                 raise ValueError(f"coefficient of order {p} must be finite, got {c}")
         object.__setattr__(self, "orders", orders)
@@ -60,7 +51,8 @@ class DispersionPolynomial:
                 return angles
         except OverflowError:  # d_alpha**p of a tiny grid spacing
             pass
-        raise ValueError(f"phase must be finite: the transfer phase overflows at z = {z}")
+        message = f"phase must be finite: the transfer phase overflows at z = {z}"
+        raise PhaseOverflowError(message, z)
 
 
 def signed_index_weights(n: int) -> list[int]:
@@ -80,8 +72,8 @@ def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     ``g**p`` exactly for every representable signed ``g``.
     """
     # checked before the cache, where 2.0 or True would find the entry of 2 or 1
-    check_qubits("n", n)
-    _check_order("order", p)
+    check_integer("n", n)
+    check_integer("order", p, MAX_ORDER)
     return list(_expansion(int(n), int(p)))
 
 
@@ -162,6 +154,6 @@ def build_qbpm_circuit_2d(
     copy shifted by ``n`` propagates the other axis on ``[n, 2n)``; the two
     commute, so arbitrary (including non-separable) 2D inputs propagate.
     """
-    check_qubits("n_per_axis", n_per_axis, MAX_QUBITS // 2)
+    check_integer("n_per_axis", n_per_axis, MAX_QUBITS // 2)
     axis = _propagation_gates(n_per_axis, grid, wavelength, z, polynomial)
     return Circuit(2 * n_per_axis, axis + [_shifted(g, n_per_axis) for g in axis])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .circuit import TWO_PI, Circuit, Gate, Hadamard, PhaseGate, Swap, check_qubits
+from .circuit import TWO_PI, Circuit, Gate, Hadamard, PhaseGate, Swap, check_integer
 
 FORWARD = -1
 BACKWARD = +1
@@ -27,7 +27,7 @@ def _qft(n: int, sign: int) -> tuple[Gate, ...]:
     once per process and shared: gates are immutable.
     """
     # checked before the cache, where 2.0 or True would find the entry of 2 or 1
-    check_qubits("n", n)
+    check_integer("n", n)
     return _qft_gates(int(n), sign)
 
 

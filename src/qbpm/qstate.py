@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Hadamard, PhaseGate, Swap, check_qubits, check_register
+from .circuit import Hadamard, PhaseGate, Swap, check_integer, check_register
 from .classical_bpm import is_power_of_two
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -286,7 +286,7 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int = 0) -> "StateVector":
-        check_qubits("n_qubits", n_qubits)
+        check_integer("n_qubits", n_qubits)
         if not 0 <= index < 1 << n_qubits:
             raise ValueError(f"index must be in 0..{(1 << n_qubits) - 1}, got {index}")
         amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)

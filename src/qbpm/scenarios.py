@@ -2,28 +2,20 @@
 and repeated-sampling error statistics for the two showcase setups, a 1D
 double slit and a 2D Gaussian beam.
 
-Each parameter set checks its register size with ``check_qubits`` before a
-grid is built (``MAX_QUBITS // 2`` per axis for the two-axis beam)."""
+Each parameter set checks its register size with ``check_integer``, and each
+length and its wavelength with ``check_positive``, before relating them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import classical_bpm
-from .circuit import MAX_QUBITS, check_qubits
-from .classical_bpm import Field, GridSpec, rmse, wavenumber
+from .circuit import MAX_QUBITS, check_integer
+from .classical_bpm import Field, GridSpec, check_positive, rmse, wavenumber
 from .propagator import build_qbpm_circuit, build_qbpm_circuit_2d
 from .qstate import SampleCounts, StateVector
-
-
-def _check_finite(params) -> None:
-    """Reject a non-finite field of the dataclass ``params``, naming it."""
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,14 +30,13 @@ class DoubleSlitParams:
     domain_length: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        check_qubits("n_qubits", self.n_qubits)
-        if not (self.slit_separation > self.slit_width > 0.0):
-            raise ValueError("need slit_separation > slit_width > 0")
-        if not (self.slit_separation + self.slit_width < self.domain_length):
-            raise ValueError("slits do not fit inside the domain")
-        if not (self.wavelength > 0.0):
-            raise ValueError("wavelength must be positive")
+        check_integer("n_qubits", self.n_qubits)
+        for name in ("slit_separation", "slit_width", "wavelength", "domain_length"):
+            check_positive(name, getattr(self, name))
+        if not self.slit_separation > self.slit_width:
+            raise ValueError("need slit_separation > slit_width")
+        if not self.slit_separation + self.slit_width < self.domain_length:
+            raise ValueError("slits do not fit: need slit_separation + slit_width < domain_length")
 
     def make_grid(self) -> GridSpec:
         return GridSpec.from_qubits(self.n_qubits, self.domain_length)
@@ -60,7 +51,10 @@ def double_slit_initial(params: DoubleSlitParams, grid: GridSpec) -> Field:
     lower = np.abs(x + half_sep) <= half_width
     per_slit = int(np.count_nonzero(upper))
     if per_slit < 4:
-        raise ValueError(f"each slit covers only {per_slit} grid points, need >= 4")
+        raise ValueError(
+            f"slit_width {params.slit_width} covers only {per_slit} grid points, need >= 4: "
+            f"their spacing is domain_length / 2**n_qubits = {grid.dx}"
+        )
     values = (upper | lower).astype(np.complex128)
     return Field((grid,), values / np.linalg.norm(values))
 
@@ -94,31 +88,20 @@ class GaussianParams:
     domain_length: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        check_qubits("n_qubits_per_axis", self.n_qubits_per_axis, MAX_QUBITS // 2)
-        if not (self.waist > 0.0):
-            raise ValueError("waist must be positive")
-        if not (self.wavelength > 0.0):
-            raise ValueError("wavelength must be positive")
-        if not (self.domain_length > 0.0):
-            raise ValueError("domain_length must be positive")
+        check_integer("n_qubits_per_axis", self.n_qubits_per_axis, MAX_QUBITS // 2)
+        for name in ("waist", "wavelength", "domain_length"):
+            check_positive(name, getattr(self, name))
         try:
-            rayleigh_length = self.rayleigh_length
+            overflows = self.rayleigh_length == math.inf
         except OverflowError:  # waist**2
-            rayleigh_length = math.inf
-        if rayleigh_length == math.inf:
-            raise ValueError(
-                f"waist {self.waist} is too large: its Rayleigh length overflows float64"
-            )
-
-    @property
-    def wavenumber(self) -> float:
-        return wavenumber(self.wavelength)
+            overflows = True
+        if overflows:
+            raise ValueError(f"waist {self.waist} is too large: its Rayleigh length overflows")
 
     @property
     def rayleigh_length(self) -> float:
         """Distance over which the beam area doubles, ``k * w0**2 / 2``."""
-        return self.wavenumber * self.waist**2 / 2.0
+        return wavenumber(self.wavelength) * self.waist**2 / 2.0
 
     def make_grid(self) -> GridSpec:
         return GridSpec.from_qubits(self.n_qubits_per_axis, self.domain_length)
@@ -128,7 +111,8 @@ def gaussian_initial_2d(params: GaussianParams, grid: GridSpec) -> Field:
     """Unit-norm amplitude ``exp(-(x**2 + y**2) / w0**2)`` on ``grid`` along both axes."""
     if params.waist < 4.0 * grid.dx:
         raise ValueError(
-            f"waist {params.waist} under-resolved: need at least 4 grid points across it"
+            f"waist {params.waist} under-resolved: need at least 4 grid points across it, "
+            f"but their spacing is domain_length / 2**n_qubits_per_axis = {grid.dx}"
         )
     values = np.exp(-_radius_squared(grid, grid) / params.waist**2).astype(np.complex128)
     return Field((grid, grid), values / np.linalg.norm(values))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbpm import Field, GridSpec, propagate_1d, propagate_2d, rmse
-from qbpm.classical_bpm import wavenumber
+from qbpm.classical_bpm import check_positive, wavenumber
 
 from oracles import full_spectrum_propagate
 
@@ -28,6 +28,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(8, 0.0)
 
+    def test_spacing_whose_frequency_step_overflows_named(self):
+        # 2 pi / (8 * 1e-310) overflows float64
+        with pytest.raises(ValueError, match="^dx 1e-310 is too small: .* frequency spacing"):
+            GridSpec(8, 1e-310)
+        with pytest.raises(ValueError, match="^domain_length 3.2e-309 is too small: .* freq"):
+            GridSpec.from_qubits(5, 3.2e-309)
+
     def test_frequency_step_closes_the_circle(self):
         for n in (2, 8, 15):
             grid = GridSpec.from_qubits(n, 0.37)
@@ -44,6 +51,17 @@ class TestGridSpec:
         assert grid.n_qubits == 5
         assert grid.dx == 0.4 / 32
         assert grid.n_points * grid.dx == pytest.approx(0.4)
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"^length must be positive and finite, got {bad}$"):
+            check_positive("length", bad)
+
+    @pytest.mark.parametrize("good", [5e-324, 1e-310, 1.0, 1e308])
+    def test_subnormal_and_huge_accepted(self, good):
+        check_positive("length", good)
 
 
 class TestField:

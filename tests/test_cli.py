@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,33 @@ class TestInputContract:
         assert capsys.readouterr().err.startswith("error: wavelength 1e+308 is too large")
         assert not out.exists()
 
+    def test_spacing_whose_frequency_step_overflows_names_domain_length(self, tmp_path, capsys):
+        # 2 pi / domain_length overflows float64, though z = 0 is the first distance
+        out = tmp_path / "run"
+        argv = ["gaussian-2d", "--waist", "1e-3", "--domain-length", "1e-310", "--sims", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: domain_length 1e-310 is too small")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["gaussian-2d", *TestGaussianCommand.ARGS, "--waist", "1e150"],
+             "zr: propagation distance of 1.0 Rayleigh lengths of waist 1e+150 overflows"),
+            (["error-analysis", *FAST_ERROR_GAUSSIAN, "--domain-length", "1e-150", "--zr", "100"],
+             "zr: propagation distance of 100.0 Rayleigh lengths of waist 0.05 overflows"),
+        ],
+        ids=["gaussian-2d", "error-analysis"],
+    )
+    def test_overflowing_rayleigh_distance_names_zr_and_waist(
+        self, tmp_path, capsys, args, message
+    ):
+        # the derived z is finite, but its transfer phase is not
+        out = tmp_path / "run"
+        assert main([*args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gaussian_tiny_spacing_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["gaussian-2d", "--domain-length", "1e-160", "--waist", "5e-161", "--sims", "2"]
@@ -599,6 +627,62 @@ class TestInputContract:
         assert "afile" in capsys.readouterr().err
 
 
+# small valid configuration of each command; "FIELD" is an 8-point input file
+CONTRACT_BASES = {
+    "double-slit": {"qubits": 9, "domain_length": 0.0064, "shots": 200, "z": [0.05]},
+    "gaussian-2d": {
+        "qubits": 4, "domain_length": 0.2, "shots": 200, "zr": [1.0], "sims": 2,
+        "sweep_shots": [50],
+    },
+    "propagate": {"input": "FIELD", "z": [0.1]},
+    "error-analysis": {
+        "qubits": 9, "domain_length": 0.0064, "z": [0.05], "zr": [1.0], "shots": [200],
+        "sims": 2,
+    },
+    "gate-count": {"qubits": 4},
+    "export-qasm": {"qubits": 4},
+}
+
+# JSON text of each hostile value; Python's json reads NaN, Infinity and 1e400
+HOSTILE_VALUES = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-0.0", "5e-324", "1e308", "true", str(2**63),
+    "0", "-1", "2.5", '"x"', "[]", "[NaN]", "[1e308]", "null",
+]
+
+
+class TestHostileConfigValues:
+    """Every key of every command, given each hostile value through
+    ``--config``: the command succeeds, or exits 2 naming the key (every key
+    of a limit that relates several) and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command in DEFAULTS for key in DEFAULTS[command]],
+        ids=lambda item: item,
+    )
+    def test_exit_code_message_and_output(self, tmp_path, monkeypatch, capsys, command, key):
+        monkeypatch.chdir(tmp_path)  # a valid relative "out" or "input" stays here
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((8, 2)), delimiter=",")
+        base = {k: str(field) if v == "FIELD" else v for k, v in CONTRACT_BASES[command].items()}
+        failures = []
+        for index, text in enumerate(HOSTILE_VALUES):
+            config = tmp_path / f"config{index}.json"
+            config.write_text(json.dumps({**base, key: json.loads(text)}))
+            out = tmp_path / f"run{index}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([command, "--config", str(config), "--out", str(out)])
+            err = capsys.readouterr().err
+            if rc not in (0, 2):
+                failures.append(f"{key}={text}: exit {rc}: {err}")
+            elif rc == 2 and key not in err:
+                failures.append(f"{key}={text}: message does not name {key!r}: {err}")
+            elif rc == 2 and out.exists():
+                failures.append(f"{key}={text}: exit 2 but {out.name} was written")
+        assert not failures, "\n".join(failures)
+
+
 def _subparsers() -> dict:
     parser = build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -668,8 +752,8 @@ def _sha256(data: bytes) -> str:
 class TestPinnedBytes:
     """Deterministic CLI outputs, pinned by digest.
 
-    Only Python-float and Fraction arithmetic feeds these files (no RNG,
-    no FFT), so the digests hold on every platform.  A change here means
+    Only Python-float and exact integer arithmetic feeds these files (no
+    RNG, no FFT), so the digests hold on every platform.  A change here means
     the exported circuit or the gate-count report changed.
     """
 

@@ -340,7 +340,7 @@ class TestQbpmCircuit2d:
 class TestPinnedGates:
     """Builder gate lists, pinned by the sha256 of ``repr(circuit.gates)``.
 
-    Only Python-float and Fraction arithmetic makes the gates, so the
+    Only Python-float and exact integer arithmetic makes the gates, so the
     digests hold on every platform.  A change here means a builder emits
     different gates or a different order, which moves the exported QASM
     and the segment bounds a reader of the gate list relies on.

@@ -61,7 +61,12 @@ class TestParamsAreFinite:
     )
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_field_rejected_by_name(self, params, field, bad):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        # a qubit count is an integer; every other field is positive and finite
+        if field.startswith("n_qubits"):
+            expected = f"^{field} must be an integer in 1[.][.]"
+        else:
+            expected = f"^{field} must be positive and finite"
+        with pytest.raises(ValueError, match=expected):
             replace(params, **{field: bad})
 
 
