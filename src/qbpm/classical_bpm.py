@@ -27,11 +27,7 @@ def check_positive(name: str, value) -> None:
 
 
 class PhaseOverflowError(ValueError):
-    """The transfer phase at propagation distance ``z`` overflows float64."""
-
-    def __init__(self, message: str, z: float) -> None:
-        super().__init__(message)
-        self.z = z
+    """The transfer phase overflows float64."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +79,11 @@ def _frequency_spacing(n_points: int, dx: float) -> float:
 
 
 def _check_spacing(name: str, value: float, n_points: int, dx: float) -> None:
-    """Key ``name`` = ``value`` sets ``dx``: positive, finite, and both spacings in float64."""
+    """Key ``name`` = ``value`` sets ``dx``: positive, finite, and the span
+    ``n_points * dx`` and both spacings in float64."""
     check_positive(name, value)
+    if n_points * dx == math.inf:
+        raise ValueError(f"{name} {value} is too large: over {n_points} points, its span overflows")
     if dx == 0.0 or _frequency_spacing(n_points, dx) == math.inf:
         what = "spacing underflows to 0" if dx == 0.0 else "frequency spacing overflows float64"
         raise ValueError(f"{name} {value} is too small: over {n_points} points, its {what}")
@@ -146,7 +145,7 @@ def _transfer(grids: tuple[GridSpec, ...], k: float, z: float) -> np.ndarray:
         slots = np.ix_(*(np.arange(g.n_points // 2 + 1) * g.d_alpha for g in grids))
         phase = -1j * sum(f**2 for f in slots) * z / (2.0 * k)
     if not np.isfinite(phase).all():
-        raise PhaseOverflowError(f"propagation distance z = {z} overflows the transfer phase", z)
+        raise PhaseOverflowError(f"propagation distance z = {z} overflows the transfer phase")
     return np.exp(phase)
 
 

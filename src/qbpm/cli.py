@@ -34,7 +34,6 @@ from .qstate import StateVector
 from .scenarios import (
     DEFAULT_DOUBLE_SLIT,
     DEFAULT_GAUSSIAN_2D,
-    GaussianParams,
     double_slit_runner,
     error_analysis,
     gaussian_runner,
@@ -151,6 +150,10 @@ _CHOICES = {"format": ("csv", "json"), "scenario": ("double-slit", "gaussian-2d"
 # _INT64_MAX, numpy's largest shot count, and every value must be finite
 _BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "order": 1, "z": 0.0, "zr": 0.0}
 _INT64_MAX = 2**63 - 1
+
+# config keys that the transfer phase exp(i c alpha**p z) depends on: the
+# distance, the coefficient c, and the frequency spacing and order of alpha
+_PHASE_KEYS = ("z", "zr", "waist", "wavelength", "dx", "domain_length", "qubits", "order")
 
 _HELP = {
     "qubits": "register size (per axis for gaussian-2d)",
@@ -273,46 +276,14 @@ def _rayleigh_distances(params, config: dict) -> list[tuple[float, float]]:
     return pairs
 
 
-def _paraxial_polynomial(
-    wavelength: float, grid: GridSpec, order: int, distances
-) -> DispersionPolynomial:
-    """The paraxial coefficient of ``wavelength`` at ``order``, its transfer
-    phase checked at each of ``distances``.  The phase is the coefficient
-    times ``grid.d_alpha**order`` times ``z``: one that overflows per meter,
-    on a grid whose ``d_alpha**order`` does not, names the wavelength, and
-    any other overflow names its ``z``."""
-    coefficient = DispersionPolynomial.paraxial(wavelength).orders[2]
-    try:
-        step = grid.d_alpha**order
-    except OverflowError:  # a tiny spacing
-        step = math.inf
-    if step < math.inf and not math.isfinite(coefficient * step):
-        raise ValueError(
-            f"wavelength {wavelength} is too large: the transfer phase per meter overflows"
-        )
-    polynomial = DispersionPolynomial({order: coefficient})
-    for z in distances:
-        polynomial.phase_angles(grid, float(z))
-    return polynomial
-
-
 def _error_rows(params, first_column: dict, shots, config: dict) -> list[tuple]:
     """The error-analysis table of ``params`` at each ``z`` keying ``first_column``,
     as rows ``(first_column[z], z, n_shots, n_sim, mu, sigma)`` sorted by ``z``
-    and ``n_shots``.  The beam's overflowing phase names ``zr``, not its ``z``."""
+    and ``n_shots``."""
     n_sim = int(config["sims"])
-    try:
-        table = error_analysis(
-            params, list(first_column), [int(s) for s in shots], n_sim, int(config["seed"])
-        )
-    except PhaseOverflowError as exc:
-        if not isinstance(params, GaussianParams):
-            raise
-        zr = {z: zr for zr, z in _rayleigh_distances(params, config)}[exc.z]
-        raise ValueError(
-            f"zr: propagation distance of {zr} Rayleigh lengths of waist {params.waist} "
-            "overflows the transfer phase"
-        ) from None
+    table = error_analysis(
+        params, list(first_column), [int(s) for s in shots], n_sim, int(config["seed"])
+    )
     return [
         (first_column[z], z, n_shots, n_sim, stats.mu, stats.sigma)
         for (z, n_shots), stats in sorted(table.items())
@@ -335,7 +306,9 @@ def cmd_double_slit(config: dict) -> int:
     order = np.argsort(grid.coordinates(), kind="stable")
     x_sorted = grid.coordinates()[order]
     # a resolved z can fail at(z) only on its transfer phase: check each first
-    _paraxial_polynomial(params.wavelength, grid, 2, config["z"])
+    polynomial = DispersionPolynomial.paraxial(params.wavelength)
+    for z in config["z"]:
+        polynomial.phase_angles(grid, float(z))
 
     out = _out_dir("double-slit", config)
     rmse_rows = []
@@ -364,7 +337,6 @@ def cmd_gaussian_2d(config: dict) -> int:
     at = gaussian_runner(params)
     grid = params.make_grid()
     shape = (grid.n_points, grid.n_points)
-    _paraxial_polynomial(params.wavelength, grid, 2, ())  # the sweep checks each z
     distances = _rayleigh_distances(params, config)
     # the sweep runs every distance, so one that fails stops the command
     # before any file is written
@@ -427,8 +399,7 @@ def cmd_propagate(config: dict) -> int:
     state0 = StateVector.from_amplitudes(values)
 
     wavelength = float(config["wavelength"])
-    polynomial = _paraxial_polynomial(wavelength, grid, 2, [z])
-    quantum = build_qbpm_circuit(n, grid, wavelength, z, polynomial).run(state0)
+    quantum = build_qbpm_circuit(n, grid, wavelength, z).run(state0)
     classical = classical_bpm.propagate_1d(Field((grid,), state0.amplitudes), wavelength, z)
     deviation = float(np.max(np.abs(quantum.amplitudes - classical.values)))
     # a NaN deviation is within no tolerance
@@ -539,7 +510,8 @@ def cmd_export_qasm(config: dict) -> int:
     wavelength = float(config["wavelength"])
     z = float(config["z"][0])
     # every order gets the paraxial (quadratic) coefficient
-    polynomial = _paraxial_polynomial(wavelength, grid, int(config["order"]), [z])
+    coefficient = DispersionPolynomial.paraxial(wavelength).orders[2]
+    polynomial = DispersionPolynomial({int(config["order"]): coefficient})
     circuit = build_qbpm_circuit(n, grid, wavelength, z, polynomial)
     text = circuit.to_qasm_text()
     out = _out_dir("export-qasm", config)
@@ -611,6 +583,12 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
+    except PhaseOverflowError as exc:
+        # the beam's distance key is zr; every other scenario's is z
+        unused = "z" if config.get("scenario", args.command) == "gaussian-2d" else "zr"
+        keys = ", ".join(key for key in _PHASE_KEYS if key in config and key != unused)
+        print(f"error: {keys}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,8 +51,7 @@ class DispersionPolynomial:
                 return angles
         except OverflowError:  # d_alpha**p of a tiny grid spacing
             pass
-        message = f"phase must be finite: the transfer phase overflows at z = {z}"
-        raise PhaseOverflowError(message, z)
+        raise PhaseOverflowError(f"phase must be finite: the transfer phase overflows at z = {z}")
 
 
 def signed_index_weights(n: int) -> list[int]:

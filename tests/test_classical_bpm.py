@@ -35,6 +35,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="^domain_length 3.2e-309 is too small: .* freq"):
             GridSpec.from_qubits(5, 3.2e-309)
 
+    def test_spacing_whose_span_overflows_named(self):
+        # 256 * 1e308 overflows float64, so d_alpha would read 0.0
+        with pytest.raises(ValueError, match=r"^dx 1e\+308 is too large: over 256 points, its sp"):
+            GridSpec(256, 1e308)
+        # the largest span that float64 holds
+        grid = GridSpec(2, np.finfo(float).max / 2)
+        assert 0.0 < grid.d_alpha < np.inf
+        assert np.isfinite(grid.coordinates()).all()
+
     def test_frequency_step_closes_the_circle(self):
         for n in (2, 8, 15):
             grid = GridSpec.from_qubits(n, 0.37)

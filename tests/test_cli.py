@@ -29,6 +29,16 @@ FAST_ERROR_GAUSSIAN = [
 ]
 
 
+# the config keys that an overflowing transfer phase names, in order: every
+# key of the command that the phase depends on
+PHASE_KEYS = {
+    "double-slit": "z, wavelength, domain_length, qubits",
+    "gaussian-2d": "zr, waist, wavelength, domain_length, qubits",
+    "propagate": "z, wavelength, dx",
+    "export-qasm": "z, wavelength, domain_length, qubits, order",
+}
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -179,8 +189,11 @@ class TestPropagateCommand:
         rc = main(["propagate", "--input", str(field), "--z", "1e300", "--verify",
                    "--out", str(out)])
         assert rc == 2
-        assert "z = 1e+300 overflows the transfer phase" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err == (
+            f"error: {PHASE_KEYS['propagate']}: propagation distance z = 1e+300 overflows "
+            "the transfer phase\n"
+        )
+        assert not out.exists()
 
     def test_field_whose_norm_overflows_is_config_error(self, tmp_path, capsys):
         field = tmp_path / "field.csv"
@@ -352,6 +365,15 @@ class TestInputContract:
         assert "dx must be positive and finite" in capsys.readouterr().err
         assert not (out / "field_quantum.csv").exists()
 
+    def test_propagate_spacing_whose_span_overflows_named(self, tmp_path, capsys):
+        # 256 points of spacing 1e308 span more than float64 holds
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((256, 2)), delimiter=",")
+        out = tmp_path / "run"
+        assert main(["propagate", "--input", str(field), "--dx", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: dx 1e+308 is too large")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, z",
         [
@@ -366,9 +388,13 @@ class TestInputContract:
         ids=["qasm-tiny-spacing", "qasm-far", "slit-tiny-spacing", "slit-far"],
     )
     def test_overflowing_transfer_phase_names_z(self, tmp_path, capsys, args, z):
+        # z, and the grid spacing through domain_length and qubits, set the phase
         out = tmp_path / "run"
         assert main([*args, "--out", str(out)]) == 2
-        assert f"transfer phase overflows at z = {z}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {PHASE_KEYS[args[0]]}: phase must be finite: "
+            f"the transfer phase overflows at z = {z}\n"
+        )
         assert not out.exists()
 
     def test_propagate_tiny_spacing_names_z(self, tmp_path, capsys):
@@ -376,7 +402,10 @@ class TestInputContract:
         np.savetxt(field, np.ones((256, 2)), delimiter=",")
         out = tmp_path / "run"
         assert main(["propagate", "--input", str(field), "--dx", "1e-160", "--out", str(out)]) == 2
-        assert "transfer phase overflows at z = 0.1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {PHASE_KEYS['propagate']}: phase must be finite: "
+            "the transfer phase overflows at z = 0.1\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("zr", ["1e303", "1e305"], ids=["phase-overflows", "z-is-inf"])
@@ -385,7 +414,10 @@ class TestInputContract:
         out = tmp_path / "run"
         rc = main(["gaussian-2d", *TestGaussianCommand.ARGS, "--zr", zr, "--out", str(out)])
         assert rc == 2
-        assert "propagation distance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "propagation distance" in err
+        if zr == "1e303":
+            assert err.startswith(f"error: {PHASE_KEYS['gaussian-2d']}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -448,7 +480,7 @@ class TestInputContract:
         # the transfer phase per meter overflows on a grid whose frequencies do not
         out = tmp_path / "run"
         assert main([*args, "--wavelength", "1e308", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: wavelength 1e+308 is too large")
+        assert capsys.readouterr().err.startswith(f"error: {PHASE_KEYS[args[0]]}: ")
         assert not out.exists()
 
     def test_spacing_whose_frequency_step_overflows_names_domain_length(self, tmp_path, capsys):
@@ -460,29 +492,34 @@ class TestInputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args, message",
+        "args, keys",
         [
             (["gaussian-2d", *TestGaussianCommand.ARGS, "--waist", "1e150"],
-             "zr: propagation distance of 1.0 Rayleigh lengths of waist 1e+150 overflows"),
+             PHASE_KEYS["gaussian-2d"]),
+            # error-analysis takes the beam's waist and wavelength from its defaults
             (["error-analysis", *FAST_ERROR_GAUSSIAN, "--domain-length", "1e-150", "--zr", "100"],
-             "zr: propagation distance of 100.0 Rayleigh lengths of waist 0.05 overflows"),
+             "zr, domain_length, qubits"),
         ],
         ids=["gaussian-2d", "error-analysis"],
     )
-    def test_overflowing_rayleigh_distance_names_zr_and_waist(
-        self, tmp_path, capsys, args, message
-    ):
+    def test_overflowing_rayleigh_distance_names_zr_and_waist(self, tmp_path, capsys, args, keys):
         # the derived z is finite, but its transfer phase is not
         out = tmp_path / "run"
         assert main([*args, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {keys}: propagation distance z = ")
+        assert err.endswith(" overflows the transfer phase\n")
         assert not out.exists()
 
     def test_gaussian_tiny_spacing_is_config_error(self, tmp_path, capsys):
+        # z = 0 at zr = 0, but alpha**2 of the tiny spacing is inf
         out = tmp_path / "run"
         argv = ["gaussian-2d", "--domain-length", "1e-160", "--waist", "5e-161", "--sims", "2"]
         assert main([*argv, "--out", str(out)]) == 2
-        assert "overflows the transfer phase" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {PHASE_KEYS['gaussian-2d']}: propagation distance z = 0.0 overflows "
+            "the transfer phase\n"
+        )
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::UserWarning")
@@ -492,6 +529,26 @@ class TestInputContract:
         out = tmp_path / "run"
         assert main(["propagate", "--input", str(field), "--out", str(out)]) == 2
         assert "holds no data" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["double-slit", "--config"], None, "cannot read config file"),
+            (["double-slit", "--config"], "{", "config file is not valid JSON"),
+            (["double-slit", "--config"], "[1, 2]", "config file must hold a JSON object"),
+            (["propagate", "--input"], "1,2\nx,y\n", "malformed input field file"),
+            (["propagate", "--input"], "1,2,3\n4,5,6\n", "input field must have two columns"),
+        ],
+        ids=["missing-config", "invalid-json", "json-list", "non-numeric-row", "three-columns"],
+    )
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "given"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "run"
+        assert main([*argv, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -649,11 +706,49 @@ HOSTILE_VALUES = [
     "0", "-1", "2.5", '"x"', "[]", "[NaN]", "[1e308]", "null",
 ]
 
+# flag text of each hostile value
+HOSTILE_FLAG_VALUES = [
+    "nan", "inf", "-inf", "1e400", "-0.0", "5e-324", "1e308", str(2**63), "0", "-1", "2.5", "x",
+    "",
+]
+
 
 class TestHostileConfigValues:
     """Every key of every command, given each hostile value through
-    ``--config``: the command succeeds, or exits 2 naming the key (every key
-    of a limit that relates several) and writes nothing."""
+    ``--config`` or as its flag: the command succeeds, or exits 2 naming the
+    key (every key of a limit that relates several) and writes nothing."""
+
+    def _base(self, tmp_path, monkeypatch, command):
+        """``command``'s small valid configuration, run in ``tmp_path``."""
+        monkeypatch.chdir(tmp_path)  # a valid relative "out" or "input" stays here
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((8, 2)), delimiter=",")
+        return {k: str(field) if v == "FIELD" else v for k, v in CONTRACT_BASES[command].items()}
+
+    def _sweep(self, tmp_path, capsys, command, key, cases):
+        """Run ``command`` on each ``(text, config, flags)`` of ``cases``;
+        argparse's exit 2 names the key as its flag."""
+        flag = "--" + key.replace("_", "-")
+        failures = []
+        for index, (text, config, flags) in enumerate(cases):
+            path = tmp_path / f"config{index}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"run{index}"
+            argv = [command, "--config", str(path), *flags, "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rc, name = main(argv), key
+                except SystemExit as exc:
+                    rc, name = exc.code, flag
+            err = capsys.readouterr().err
+            if rc not in (0, 2):
+                failures.append(f"{key}={text!r}: exit {rc}: {err}")
+            elif rc == 2 and name not in err:
+                failures.append(f"{key}={text!r}: message does not name {name!r}: {err}")
+            elif rc == 2 and out.exists():
+                failures.append(f"{key}={text!r}: exit 2 but {out.name} was written")
+        assert not failures, "\n".join(failures)
 
     @pytest.mark.parametrize(
         "command, key",
@@ -661,26 +756,26 @@ class TestHostileConfigValues:
         ids=lambda item: item,
     )
     def test_exit_code_message_and_output(self, tmp_path, monkeypatch, capsys, command, key):
-        monkeypatch.chdir(tmp_path)  # a valid relative "out" or "input" stays here
-        field = tmp_path / "field.csv"
-        np.savetxt(field, np.ones((8, 2)), delimiter=",")
-        base = {k: str(field) if v == "FIELD" else v for k, v in CONTRACT_BASES[command].items()}
-        failures = []
-        for index, text in enumerate(HOSTILE_VALUES):
-            config = tmp_path / f"config{index}.json"
-            config.write_text(json.dumps({**base, key: json.loads(text)}))
-            out = tmp_path / f"run{index}"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rc = main([command, "--config", str(config), "--out", str(out)])
-            err = capsys.readouterr().err
-            if rc not in (0, 2):
-                failures.append(f"{key}={text}: exit {rc}: {err}")
-            elif rc == 2 and key not in err:
-                failures.append(f"{key}={text}: message does not name {key!r}: {err}")
-            elif rc == 2 and out.exists():
-                failures.append(f"{key}={text}: exit 2 but {out.name} was written")
-        assert not failures, "\n".join(failures)
+        base = self._base(tmp_path, monkeypatch, command)
+        cases = [(text, {**base, key: json.loads(text)}, []) for text in HOSTILE_VALUES]
+        self._sweep(tmp_path, capsys, command, key, cases)
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for command in DEFAULTS
+            for key, default in DEFAULTS[command].items()
+            if key != "out" and not isinstance(default, bool)
+        ],
+        ids=lambda item: item,
+    )
+    def test_flag_values(self, tmp_path, monkeypatch, capsys, command, key):
+        base = self._base(tmp_path, monkeypatch, command)
+        base.pop(key, None)
+        flag = "--" + key.replace("_", "-")
+        cases = [(text, base, [f"{flag}={text}"]) for text in HOSTILE_FLAG_VALUES]
+        self._sweep(tmp_path, capsys, command, key, cases)
 
 
 def _subparsers() -> dict:
