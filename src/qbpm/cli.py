@@ -193,6 +193,7 @@ def _json_kind(value) -> str:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS[command])
+    from_file = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -227,6 +228,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         config.update(from_file)
     # the parser sets only the flags that were given
     config.update((key, value) for key, value in vars(args).items() if key in config)
+    if "scenario" in config:
+        # the double slit reads its distances from z, the beam from zr
+        used, unused = ("z", "zr") if config["scenario"] == "double-slit" else ("zr", "z")
+        if unused in from_file or unused in vars(args):
+            raise ValueError(f"{unused}: scenario {config['scenario']} reads {used}, not {unused}")
+        del config[unused]
     for key, low in _BOUNDS.items():
         values = config.get(key, [])
         for value in values if isinstance(values, list) else [values]:
@@ -267,8 +274,10 @@ def _scenario(name: str, config: dict):
     return replace(default, **overrides)
 
 
-def _rayleigh_distances(params, config: dict) -> list[tuple[float, float]]:
-    """``(zr, z)`` for each ``zr`` of ``config``, ``z`` in meters."""
+def _distances(params, config: dict) -> list[tuple[float, float]]:
+    """``(value, z)`` for each ``z`` of ``config``, or each ``zr`` in Rayleigh lengths."""
+    if "zr" not in config:
+        return [(float(z), float(z)) for z in config["z"]]
     pairs = [(float(zr), float(zr) * params.rayleigh_length) for zr in config["zr"]]
     for zr, z in pairs:
         if z == math.inf:
@@ -305,15 +314,15 @@ def cmd_double_slit(config: dict) -> int:
     grid = params.make_grid()
     order = np.argsort(grid.coordinates(), kind="stable")
     x_sorted = grid.coordinates()[order]
+    distances = _distances(params, config)
     # a resolved z can fail at(z) only on its transfer phase: check each first
     polynomial = DispersionPolynomial.paraxial(params.wavelength)
-    for z in config["z"]:
-        polynomial.phase_angles(grid, float(z))
+    for _, z in distances:
+        polynomial.phase_angles(grid, z)
 
     out = _out_dir("double-slit", config)
     rmse_rows = []
-    for index, z in enumerate(config["z"]):
-        z = float(z)
+    for index, (_, z) in enumerate(distances):
         state, analytic = at(z)
         exact = state.probabilities()
         sampled = state.sample(int(config["shots"]), int(config["seed"])).frequencies()
@@ -337,7 +346,7 @@ def cmd_gaussian_2d(config: dict) -> int:
     at = gaussian_runner(params)
     grid = params.make_grid()
     shape = (grid.n_points, grid.n_points)
-    distances = _rayleigh_distances(params, config)
+    distances = _distances(params, config)
     # the sweep runs every distance, so one that fails stops the command
     # before any file is written
     z_ratios = {z: zr for zr, z in distances}
@@ -430,11 +439,7 @@ def cmd_error_analysis(config: dict) -> int:
     """Mean and standard error over repeated simulations."""
     scenario_name = config["scenario"]
     params = _scenario(scenario_name, config)
-    if scenario_name == "double-slit":
-        z_values = [float(z) for z in config["z"]]
-    else:
-        z_values = [z for _, z in _rayleigh_distances(params, config)]
-
+    z_values = [z for _, z in _distances(params, config)]
     rows = _error_rows(params, dict.fromkeys(z_values, scenario_name), config["shots"], config)
     out = _out_dir("error-analysis", config)
     _write_csv(
@@ -584,9 +589,7 @@ def main(argv=None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except PhaseOverflowError as exc:
-        # the beam's distance key is zr; every other scenario's is z
-        unused = "z" if config.get("scenario", args.command) == "gaussian-2d" else "zr"
-        keys = ", ".join(key for key in _PHASE_KEYS if key in config and key != unused)
+        keys = ", ".join(key for key in _PHASE_KEYS if key in config)
         print(f"error: {keys}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -131,12 +131,13 @@ def waist_from_counts(counts: SampleCounts, grid: GridSpec) -> float:
     ``w = sqrt(sum_ij (x_i**2 + y_j**2) * P_ij)`` with ``P_ij`` the
     empirical collapse frequency at grid cell (i, j).
     """
-    return _sampled_waist(counts, _radius_squared(grid, grid))
+    return _waist(counts.frequencies(), _radius_squared(grid, grid))
 
 
-def _sampled_waist(counts: SampleCounts, radius_squared: np.ndarray) -> float:
-    weights = counts.frequencies().reshape(radius_squared.shape)
-    return float(np.sqrt(np.sum(radius_squared * weights)))
+def _waist(weights: np.ndarray, radius_squared: np.ndarray) -> float:
+    """``sqrt(sum(r**2 * P))`` of the unit-sum ``weights`` ``P``, flat or
+    shaped like ``radius_squared``."""
+    return float(np.sqrt(np.sum(radius_squared * weights.reshape(radius_squared.shape))))
 
 
 def waist_from_field(field: Field) -> float:
@@ -145,22 +146,16 @@ def waist_from_field(field: Field) -> float:
     if field.ndim != 2:
         raise ValueError("waist_from_field expects a 2D field")
     intensity = field.intensity()
-    weights = intensity / intensity.sum()
-    return float(np.sqrt(np.sum(_radius_squared(*field.grids) * weights)))
+    return _waist(intensity / intensity.sum(), _radius_squared(*field.grids))
 
 
 @dataclass(frozen=True)
 class ErrorStats:
-    """Mean and standard error of a per-run error over repeated simulations."""
+    """Mean and population standard deviation (``np.std``, ddof 0) of a
+    per-run error over repeated simulations."""
 
     mu: float
     sigma: float
-
-
-def _spread(errors: np.ndarray) -> float:
-    # sqrt(<e**2> - <e>**2), clipped against tiny negative round-off
-    variance = float(np.mean(errors**2) - np.mean(errors) ** 2)
-    return math.sqrt(max(variance, 0.0))
 
 
 def error_analysis(
@@ -193,7 +188,7 @@ def error_analysis(
         radius_squared = _radius_squared(grid, grid)  # built once, not per draw
 
         def run_error(counts: SampleCounts, reference) -> float:
-            return _sampled_waist(counts, radius_squared) - reference
+            return _waist(counts.frequencies(), radius_squared) - reference
 
     else:
         raise TypeError(f"unknown scenario type {type(scenario).__name__}")
@@ -205,7 +200,7 @@ def error_analysis(
             errors = np.array(
                 [run_error(state.sample(int(n_shots), seed + i), reference) for i in range(n_sim)]
             )
-            table[(float(z), int(n_shots))] = ErrorStats(float(np.mean(errors)), _spread(errors))
+            table[(float(z), int(n_shots))] = ErrorStats(float(errors.mean()), float(errors.std()))
     return table
 
 

@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -349,3 +349,21 @@ class TestPhaseGateProperties:
         for gate in gates:
             expected[labels.get(len(gate.qubits), "MultiControlledPhase")] += 1
         assert counts == expected
+
+
+@dataclass(frozen=True)
+class ForeignGate:
+    """Acts on a register qubit but is none of the three gate types."""
+
+    qubits: tuple = (0,)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [Circuit.to_qasm_text, lambda circuit: circuit.run(StateVector.basis_state(1))],
+    ids=["to_qasm_text", "run"],
+)
+def test_unknown_gate_type_rejected(use):
+    # run reaches the state vector's plan compiler, to_qasm_text the exporter
+    with pytest.raises(TypeError, match="unknown gate type ForeignGate"):
+        use(Circuit(1, [ForeignGate()]))

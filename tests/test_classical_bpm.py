@@ -267,3 +267,21 @@ class TestRmse:
     def test_zero_reference(self):
         with pytest.raises(ValueError):
             rmse([0.0, 0.0], [1.0, 0.0])
+
+
+_GRID = GridSpec(8, 1e-5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Field((_GRID,) * 3, np.ones((8, 8, 8))), "one or two axes"),
+        (lambda: propagate_1d(Field((_GRID, _GRID), np.ones((8, 8))), 532e-9, 0.1), "a 1D field"),
+        (lambda: propagate_2d(Field((_GRID,), np.ones(8)), 532e-9, 0.1), "a 2D field"),
+        (lambda: rmse([1.0, 1.0], [0.0, 0.0]), "numerical intensity must have positive total"),
+    ],
+    ids=["three-axes", "propagate_1d-of-2d", "propagate_2d-of-1d", "zero-numerical-total"],
+)
+def test_wrong_axis_count_or_zero_total_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

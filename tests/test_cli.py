@@ -1,12 +1,17 @@
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qbpm import __version__
 from qbpm.cli import DEFAULTS, build_parser, main
 
 # small-register double-slit configuration that keeps CLI tests fast while
@@ -280,6 +285,35 @@ class TestErrorAnalysisCommand:
         )
         assert rc == 0
         assert (out / "error_stats.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(FAST_ERROR_SLIT, "zr"), (FAST_ERROR_GAUSSIAN, "z")],
+        ids=["double-slit", "gaussian-2d"],
+    )
+    def test_written_config_holds_only_the_read_distance_key(self, tmp_path, argv, key):
+        out = tmp_path / "run"
+        assert main(["error-analysis", *argv, "--out", str(out)]) == 0
+        assert key not in read_json(out / "config.json")
+
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(FAST_ERROR_SLIT, "zr"), (FAST_ERROR_GAUSSIAN, "z")],
+        ids=["double-slit", "gaussian-2d"],
+    )
+    def test_other_scenario_distance_key_rejected(self, tmp_path, capsys, argv, key, given_by):
+        # each scenario reads one distance key; the other one, given, is an error
+        out = tmp_path / "run"
+        if given_by == "flag":
+            extra = [f"--{key}", "5"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: [5.0]}))
+            extra = ["--config", str(config)]
+        assert main(["error-analysis", *argv, *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
 
 
 class TestGateCountCommand:
@@ -693,8 +727,7 @@ CONTRACT_BASES = {
     },
     "propagate": {"input": "FIELD", "z": [0.1]},
     "error-analysis": {
-        "qubits": 9, "domain_length": 0.0064, "z": [0.05], "zr": [1.0], "shots": [200],
-        "sims": 2,
+        "qubits": 9, "domain_length": 0.0064, "z": [0.05], "shots": [200], "sims": 2,
     },
     "gate-count": {"qubits": 4},
     "export-qasm": {"qubits": 4},
@@ -782,6 +815,16 @@ def _subparsers() -> dict:
     parser = build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
+
+
+def test_module_entry_point_runs_main():
+    # python -m qbpm, with this checkout's sources ahead of any installed copy
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-m", "qbpm", "--version"], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout) == (0, f"qbpm {__version__}\n")
 
 
 class TestOptionTable:

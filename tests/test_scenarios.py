@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qbpm import (
     DEFAULT_GAUSSIAN_2D,
     DoubleSlitParams,
     ErrorStats,
+    Field,
     GaussianParams,
     GridSpec,
     SampleCounts,
@@ -205,9 +207,12 @@ class TestWaistEstimators:
         grid = DEFAULT_GAUSSIAN_2D.make_grid()
         values = np.zeros((32, 32), dtype=complex)
         values[0, 0] = 1.0
-        from qbpm import Field
-
         assert waist_from_field(Field((grid, grid), values)) == 0.0
+
+    def test_field_of_one_axis_rejected(self):
+        field = Field((DEFAULT_GAUSSIAN_2D.make_grid(),), np.ones(32))
+        with pytest.raises(ValueError, match="expects a 2D field"):
+            waist_from_field(field)
 
     def test_initial_waist_is_w0_over_sqrt2(self):
         # closed-form second moment of exp(-2 r^2 / w0^2), cross-checked by
@@ -295,24 +300,44 @@ class TestErrorAnalysis:
         again = error_analysis(params, [0.0, 0.05], [200, 400], n_sim=5, seed=9)
         assert again == table
 
-    def test_run_seeds_follow_seed_plus_run_index(self):
-        # recompute one table entry from the documented schedule: run i draws
-        # with default_rng(seed + i) from the normalized probabilities
-        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
-        z, n_shots, n_sim, seed = 0.05, 3000, 6, 41
-        table = error_analysis(params, [0.0, z], [500, n_shots], n_sim=n_sim, seed=seed)
+    @staticmethod
+    def recomputed_errors(params, z, n_shots, n_sim, seed):
+        """The per-run errors of one double-slit table entry, from the
+        documented schedule: run i draws with default_rng(seed + i) from the
+        normalized probabilities."""
         state, reference = double_slit_runner(params)(z)
         p = state.probabilities()
         p = p / p.sum()
-        errors = np.array(
+        return np.array(
             [
                 rmse(reference, np.random.default_rng(seed + i).multinomial(n_shots, p) / n_shots)
                 for i in range(n_sim)
             ]
         )
+
+    def test_run_seeds_follow_seed_plus_run_index(self):
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
+        z, n_shots, n_sim, seed = 0.05, 3000, 6, 41
+        table = error_analysis(params, [0.0, z], [500, n_shots], n_sim=n_sim, seed=seed)
+        errors = self.recomputed_errors(params, z, n_shots, n_sim, seed)
         stats = table[(z, n_shots)]
         assert stats.mu == float(np.mean(errors))
-        assert stats.sigma == np.sqrt(max(np.mean(errors**2) - np.mean(errors) ** 2, 0.0))
+        assert stats.sigma == np.std(errors)
+
+    def test_sigma_is_the_exact_population_standard_deviation(self):
+        # at this cell sqrt(<e**2> - <e>**2) in floats is off by 7e-13
+        # relative; sigma must be within 4e-16 of the exact value
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 12, 0.0128)
+        z, n_shots, n_sim, seed = 1.0, 100_000, 20, 7
+        stats = error_analysis(params, [z], [n_shots], n_sim=n_sim, seed=seed)[(z, n_shots)]
+        errors = self.recomputed_errors(params, z, n_shots, n_sim, seed)
+        assert stats.mu == float(np.mean(errors))
+        exact = [Fraction(e) for e in errors]
+        mean = sum(exact) / n_sim
+        variance = sum((e - mean) ** 2 for e in exact) / n_sim
+        # |sigma / sqrt(variance) - 1| <= bound, squared to stay in exact arithmetic
+        bound = Fraction(4, 10**16)
+        assert (1 - bound) ** 2 <= Fraction(stats.sigma) ** 2 / variance <= (1 + bound) ** 2
 
     def test_zero_distance_error_is_pure_shot_noise(self):
         params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 11, 0.0064)
