@@ -1,8 +1,8 @@
 """Classical reference propagator: FFT, transfer-function multiply, inverse FFT.
 
 The transfer phase depends only on ``|alpha|``, so it is evaluated once per
-distinct ``|alpha|`` (slots ``0 .. N/2`` of each axis) and then gathered
-onto all ``N`` slots.
+distinct ``|alpha|`` (slots ``0 .. N/2`` of each axis) and then mirrored
+onto slots ``N/2+1 .. N-1``.
 
 Also owns the grid bookkeeping shared by the quantum and classical paths,
 and the normalized root-mean-square intensity error used to compare them
@@ -137,24 +137,22 @@ def check_propagation_args(wavelength: float, z: float) -> float:
 
 
 def _transfer(grids: tuple[GridSpec, ...], k: float, z: float) -> np.ndarray:
-    """``exp(-i alpha**2 z / (2 k))`` (``alpha**2 + beta**2`` in 2D) at slots
-    ``0 .. N/2`` of each of ``grids``; slot ``N/2`` has the largest ``|alpha|``,
-    so a phase that overflows (a large ``z`` or a tiny spacing) raises.  Apart
-    from ``_propagate`` so that the phase array is freed before the inverse FFT."""
+    """``exp(-i alpha**2 z / (2 k))`` (``alpha**2 + beta**2`` in 2D) at every
+    slot of ``grids``.  It is evaluated at slots ``0 .. N/2`` of each axis,
+    and slots ``N/2+1 .. N-1`` repeat slots ``N/2-1 .. 1``, which have the
+    same ``|alpha|``.  Slot ``N/2`` has the largest ``|alpha|``, so a phase
+    that overflows (a large ``z`` or a tiny spacing) raises."""
     with np.errstate(over="ignore", invalid="ignore"):
         slots = np.ix_(*(np.arange(g.n_points // 2 + 1) * g.d_alpha for g in grids))
         phase = -1j * sum(f**2 for f in slots) * z / (2.0 * k)
     if not np.isfinite(phase).all():
         raise PhaseOverflowError(f"propagation distance z = {z} overflows the transfer phase")
-    return np.exp(phase)
-
-
-def _folded_slots(n_points: int) -> np.ndarray:
-    """Slot ``min(b, N - b)`` of every slot ``b``: the slot in ``0 .. N/2``
-    whose frequency has the same ``|alpha|``."""
-    slots = np.arange(n_points)
-    slots[n_points // 2 + 1 :] = n_points - slots[n_points // 2 + 1 :]
-    return slots
+    transfer = np.exp(phase)
+    del phase
+    for axis in range(transfer.ndim):
+        mirror = (slice(None),) * axis + (slice(-2, 0, -1),)
+        transfer = np.concatenate((transfer, transfer[mirror]), axis)
+    return transfer
 
 
 def _propagate(field: Field, wavelength: float, z: float) -> Field:
@@ -162,7 +160,7 @@ def _propagate(field: Field, wavelength: float, z: float) -> Field:
     # values[iy, ix]: the x frequencies run along the last axis
     grids = tuple(reversed(field.grids))
     spectrum = np.fft.fftn(field.values, norm="ortho")
-    spectrum *= _transfer(grids, k, z)[np.ix_(*(_folded_slots(g.n_points) for g in grids))]
+    spectrum *= _transfer(grids, k, z)
     return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))
 
 

@@ -14,6 +14,7 @@ verification failure (``propagate --verify``).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import re
@@ -579,7 +580,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_setter():
+    """The thread setter of the OpenBLAS bundled in numpy's ``numpy.libs``, or
+    None.  numpy 2 bundles scipy-openblas, whose symbols carry a ``scipy_``
+    prefix; the 64-bit integer builds add a ``64_`` suffix."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if setter is not None:
+                    return setter
+    return None
+
+
 def main(argv=None) -> int:
+    # the circuit path's small matmul windows can stall under OpenBLAS's
+    # default threads on a small host; one thread does not stall
+    setter = _openblas_setter()
+    if setter is not None:
+        setter(1)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

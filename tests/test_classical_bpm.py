@@ -203,8 +203,8 @@ def z_values(grid, wavelength):
 
 class TestHalfSpectrumTransfer:
     """The transfer phase is evaluated once per distinct ``|alpha|`` and
-    gathered onto every slot; the result is the full-spectrum formula, bit
-    for bit."""
+    mirrored onto the slots of negative frequency, along each axis by that
+    axis's own ``N``; the result is the full-spectrum formula, bit for bit."""
 
     WAVELENGTH = 532e-9
 
@@ -222,6 +222,17 @@ class TestHalfSpectrumTransfer:
         values = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
         field = Field((grid, grid), values / np.linalg.norm(values))
         for z in z_values(grid, self.WAVELENGTH):
+            expected = full_spectrum_propagate(field, self.WAVELENGTH, z).values
+            assert np.array_equal(propagate_2d(field, self.WAVELENGTH, z).values, expected)
+
+    @pytest.mark.parametrize("n_x, n_y", [(1, 3), (3, 1), (2, 5), (5, 2), (4, 6), (6, 3)])
+    def test_non_square_2d_equals_full_spectrum_formula(self, n_x, n_y):
+        rng = np.random.default_rng(400 + 8 * n_x + n_y)
+        grid_x, grid_y = GridSpec(2**n_x, 1e-5), GridSpec(2**n_y, 2.3e-5)
+        shape = (grid_y.n_points, grid_x.n_points)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        field = Field((grid_x, grid_y), values / np.linalg.norm(values))
+        for z in {*z_values(grid_x, self.WAVELENGTH), *z_values(grid_y, self.WAVELENGTH)}:
             expected = full_spectrum_propagate(field, self.WAVELENGTH, z).values
             assert np.array_equal(propagate_2d(field, self.WAVELENGTH, z).values, expected)
 

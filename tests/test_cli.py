@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbpm import __version__
+from qbpm import __version__, cli
 from qbpm.cli import DEFAULTS, build_parser, main
 
 # small-register double-slit configuration that keeps CLI tests fast while
@@ -809,6 +810,53 @@ class TestHostileConfigValues:
         flag = "--" + key.replace("_", "-")
         cases = [(text, base, [f"{flag}={text}"]) for text in HOSTILE_FLAG_VALUES]
         self._sweep(tmp_path, capsys, command, key, cases)
+
+
+class TestBlasThreadPin:
+    """``main`` runs numpy's bundled OpenBLAS on one thread, and runs unpinned
+    where it finds no thread setter, with the same output bytes."""
+
+    @pytest.fixture
+    def openblas(self):
+        """The bundled OpenBLAS's thread getter and setter, the count restored
+        afterwards.  A ``numpy.libs`` OpenBLAS whose setter ``main`` cannot
+        find fails here, on whatever numpy runs the suite."""
+        paths = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+        if not paths:
+            pytest.skip("this numpy bundles no OpenBLAS in numpy.libs")
+        setter = cli._openblas_setter()
+        assert setter is not None, f"no thread setter found in {[p.name for p in paths]}"
+        getter = getattr(ctypes.CDLL(str(paths[0])), setter.__name__.replace("_set_", "_get_"))
+        threads = getter()
+        yield getter, setter
+        setter(threads)
+
+    def test_main_pins_one_thread(self, tmp_path, openblas):
+        getter, setter = openblas
+        setter(2)
+        assert getter() == 2
+        assert main(["gate-count", "--qubits", "3", "--out", str(tmp_path / "run")]) == 0
+        assert getter() == 1
+
+    @pytest.mark.parametrize("library", [None, b"not a shared library"], ids=["none", "unloadable"])
+    def test_without_a_setter_main_runs_unpinned_with_the_same_bytes(
+        self, tmp_path, monkeypatch, openblas, library
+    ):
+        out = tmp_path / "run"
+        assert main(["double-slit", *FAST_SLIT, "--out", str(out)]) == 0
+        pinned = tree_bytes(out)
+        shutil.rmtree(out)
+        getter, setter = openblas
+        setter(2)
+        libs = tmp_path / "site" / "numpy.libs"
+        libs.mkdir(parents=True)
+        if library is not None:
+            (libs / "libopenblas.so").write_bytes(library)
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "site" / "numpy" / "__init__.py"))
+        assert cli._openblas_setter() is None
+        assert main(["double-slit", *FAST_SLIT, "--out", str(out)]) == 0
+        assert getter() == 2
+        assert tree_bytes(out) == pinned
 
 
 def _subparsers() -> dict:
