@@ -113,11 +113,9 @@ DEFAULTS: dict[str, dict] = {
         "out": "qbpm-propagate",
     },
     "error-analysis": {
-        "scenario": "double-slit",
-        "qubits": None,
-        "domain_length": None,
+        "qubits": DEFAULT_DOUBLE_SLIT.n_qubits,
+        "domain_length": DEFAULT_DOUBLE_SLIT.domain_length,
         "z": [0.0, 1.0, 3.0, 8.0, 16.0],
-        "zr": [0.0, 1.0, 2.0, 3.0],
         "shots": [1000, 10_000, 100_000],
         "sims": 100,
         "seed": 1234,
@@ -139,16 +137,13 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
-# config keys that name a file or directory; with a None default they take a
-# string, where any other None default takes a number
-_PATH_KEYS = ("out", "input")
-
 # config keys with a fixed set of values
-_CHOICES = {"format": ("csv", "json"), "scenario": ("double-slit", "gaussian-2d")}
+_CHOICES = {"format": ("csv", "json")}
 
 # least value of each sampling count, seed, order and distance key (of every
-# element of a list); an int bound also asks for an integer of at most
-# _INT64_MAX, numpy's largest shot count, and every value must be finite
+# element of a list, which holds each value once); an int bound also asks for
+# an integer of at most _INT64_MAX, numpy's largest shot count, and every
+# value must be finite
 _BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "order": 1, "z": 0.0, "zr": 0.0}
 _INT64_MAX = 2**63 - 1
 
@@ -173,7 +168,6 @@ _HELP = {
     "input": "CSV field file, columns real,imaginary",
     "verify": "exit 3 if the quantum and classical paths deviate",
     "tolerance": "verification threshold",
-    "scenario": "experiment to repeat",
     "order": "polynomial order of the transfer phase",
     "out": "output directory",
     "format": "2D grid output format",
@@ -214,11 +208,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in from_file.items():
+            # a None default (out, input) takes a path, or null for none
             default = config[key]
-            if default is None:
-                allowed = ("string" if key in _PATH_KEYS else "number", "null")
-            else:
-                allowed = (_json_kind(default),)
+            allowed = ("string", "null") if default is None else (_json_kind(default),)
             if _json_kind(value) not in allowed:
                 expected = " or ".join(allowed)
                 raise ValueError(f"config key {key!r} must be a {expected}, got {value!r}")
@@ -229,14 +221,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         config.update(from_file)
     # the parser sets only the flags that were given
     config.update((key, value) for key, value in vars(args).items() if key in config)
-    if "scenario" in config:
-        # the double slit reads its distances from z, the beam from zr
-        used, unused = ("z", "zr") if config["scenario"] == "double-slit" else ("zr", "z")
-        if unused in from_file or unused in vars(args):
-            raise ValueError(f"{unused}: scenario {config['scenario']} reads {used}, not {unused}")
-        del config[unused]
     for key, low in _BOUNDS.items():
         values = config.get(key, [])
+        # 0.0 and -0.0 are one value
+        if isinstance(values, list) and len(set(values)) < len(values):
+            raise ValueError(f"{key} must hold each value once, got {values}")
         for value in values if isinstance(values, list) else [values]:
             if isinstance(low, float) and not low <= value < math.inf:
                 raise ValueError(
@@ -245,8 +234,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             if isinstance(low, int) and not (low <= value <= _INT64_MAX and value == int(value)):
                 raise ValueError(f"{key} must be an integer in {low}..{_INT64_MAX}, got {value}")
     n = config.get("qubits")
-    # gate-count and export-qasm size one register, as the double slit does
-    _, _, limit, what = _SCENARIOS.get(config.get("scenario", command), _SCENARIOS["double-slit"])
+    # error-analysis, gate-count and export-qasm size one register, as the
+    # double slit does
+    _, _, limit, what = _SCENARIOS.get(command, _SCENARIOS["double-slit"])
     if n is not None:
         # a JSON number such as 9.0 is the size 9
         check_integer(what, int(n) if n in range(1, limit + 1) else n, limit)
@@ -262,16 +252,12 @@ _SCENARIOS = {
 
 
 def _scenario(name: str, config: dict):
-    """Scenario ``name``'s reference parameters with each non-null config
-    value put in: the keys named like a parameter, and ``qubits``; a null
-    value keeps the reference value."""
+    """Scenario ``name``'s reference parameters with the config values put
+    in: the keys named like a parameter, and ``qubits``."""
     default, qubits_field, _, _ = _SCENARIOS[name]
     names = {field.name for field in fields(default)}
-    overrides = {
-        key: float(value) for key, value in config.items() if key in names and value is not None
-    }
-    if config["qubits"] is not None:
-        overrides[qubits_field] = int(config["qubits"])
+    overrides = {key: float(value) for key, value in config.items() if key in names}
+    overrides[qubits_field] = int(config["qubits"])
     return replace(default, **overrides)
 
 
@@ -375,7 +361,7 @@ def cmd_gaussian_2d(config: dict) -> int:
     return 0
 
 
-def _load_field(path: str) -> np.ndarray:
+def _load_field(path: str) -> StateVector:
     try:
         with warnings.catch_warnings():  # an empty file is rejected below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -388,10 +374,10 @@ def _load_field(path: str) -> np.ndarray:
         raise ValueError(f"input field file {path} holds no data")
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError("input field must have two columns: real,imaginary")
-    values = raw[:, 0] + 1j * raw[:, 1]
-    if len(values) < 2 or not classical_bpm.is_power_of_two(len(values)):
-        raise ValueError(f"input field length must be a power of two >= 2, got {len(values)}")
-    return values
+    try:
+        return StateVector.from_amplitudes(raw[:, 0] + 1j * raw[:, 1])
+    except ValueError as exc:
+        raise ValueError(f"input field {path}: {exc}") from exc
 
 
 def cmd_propagate(config: dict) -> int:
@@ -402,11 +388,10 @@ def cmd_propagate(config: dict) -> int:
         raise ValueError("propagate expects exactly one --z value")
     z = float(config["z"][0])
     check_positive("tolerance", config["tolerance"])
-    values = _load_field(config["input"])
-    n = len(values).bit_length() - 1
+    state0 = _load_field(config["input"])
+    n = state0.n_qubits
     check_integer("qubits of the input field", n)
-    grid = GridSpec(len(values), float(config["dx"]))
-    state0 = StateVector.from_amplitudes(values)
+    grid = GridSpec(state0.n_states, float(config["dx"]))
 
     wavelength = float(config["wavelength"])
     quantum = build_qbpm_circuit(n, grid, wavelength, z).run(state0)
@@ -437,11 +422,10 @@ def cmd_propagate(config: dict) -> int:
 
 
 def cmd_error_analysis(config: dict) -> int:
-    """Mean and standard error over repeated simulations."""
-    scenario_name = config["scenario"]
-    params = _scenario(scenario_name, config)
-    z_values = [z for _, z in _distances(params, config)]
-    rows = _error_rows(params, dict.fromkeys(z_values, scenario_name), config["shots"], config)
+    """Double-slit pattern error: mean and spread over repeated simulations."""
+    params = _scenario("double-slit", config)
+    first_column = dict.fromkeys(map(float, config["z"]), "double-slit")
+    rows = _error_rows(params, first_column, config["shots"], config)
     out = _out_dir("error-analysis", config)
     _write_csv(
         out / "error_stats.csv", ["scenario", "z", "n_shots", "n_sim", "mu", "sigma"], rows
@@ -538,14 +522,6 @@ COMMANDS = {
 }
 
 
-def _number(text: str) -> int | float:
-    """An int for an integer literal, else a float."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def _flag_options(key: str, default) -> dict:
     """argparse options for config key ``key``, typed by its default."""
     if isinstance(default, bool):
@@ -553,10 +529,7 @@ def _flag_options(key: str, default) -> dict:
     if isinstance(default, list):
         element = int if all(isinstance(v, int) for v in default) else float
         return {"action": "append", "type": element, "help": f"{_HELP[key]} (repeatable)"}
-    if default is None:
-        kind = str if key in _PATH_KEYS else _number
-    else:
-        kind = type(default)
+    kind = str if default is None else type(default)
     return {"type": kind, "choices": _CHOICES.get(key), "help": _HELP[key]}
 
 

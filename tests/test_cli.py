@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from qbpm import __version__, cli
 from qbpm.cli import DEFAULTS, build_parser, main
+from qbpm.scenarios import DEFAULT_GAUSSIAN_2D, error_analysis
 
 # small-register double-slit configuration that keeps CLI tests fast while
 # leaving every slit resolved
@@ -25,13 +27,9 @@ FAST_SLIT = [
 ]
 
 
-# small error-analysis runs of each scenario
+# a small error-analysis run
 FAST_ERROR_SLIT = [
     "--qubits", "9", "--domain-length", "0.0064", "--z", "0", "--shots", "200", "--sims", "2",
-]
-FAST_ERROR_GAUSSIAN = [
-    "--scenario", "gaussian-2d", "--qubits", "4", "--domain-length", "0.2",
-    "--zr", "0", "--shots", "200", "--sims", "2",
 ]
 
 
@@ -132,28 +130,24 @@ class TestGaussianCommand:
         assert sweep == waist
 
     def test_sweep_matches_error_analysis(self, tmp_path):
-        # both commands build the scenario from the same keys, so the
-        # sigma_w sweep is the error-analysis table of that scenario
-        common = ["--qubits", "4", "--domain-length", "0.2", "--sims", "5", "--seed", "7"]
-        shots = ["100", "1000"]
-        sweep, table = tmp_path / "sweep", tmp_path / "table"
-        argv = ["gaussian-2d", *common, "--out", str(sweep)]
-        for s in shots:
-            argv += ["--sweep-shots", s]
+        # the sigma_w sweep is the library's error-analysis table of the beam
+        out = tmp_path / "run"
+        argv = ["gaussian-2d", "--qubits", "4", "--domain-length", "0.2", "--sims", "5",
+                "--seed", "7", "--sweep-shots", "100", "--sweep-shots", "1000", "--out", str(out)]
         assert main(argv) == 0
-        argv = ["error-analysis", "--scenario", "gaussian-2d", *common, "--out", str(table)]
-        for s in shots:
-            argv += ["--shots", s]
-        assert main(argv) == 0
-        # (z, n_shots, n_sim, mu, sigma) after the first column of each
-        sigma_w, stats = (
-            [line.split(",")[1:] for line in path.read_text().splitlines()]
-            for path in (sweep / "sigma_w.csv", table / "error_stats.csv")
-        )
-        assert sigma_w[0] == ["z", "n_shots", "n_sim", "mu_error", "sigma_w"]
-        assert stats[0] == ["z", "n_shots", "n_sim", "mu", "sigma"]
-        assert len(sigma_w) == 9
-        assert sigma_w[1:] == stats[1:]
+        params = replace(DEFAULT_GAUSSIAN_2D, n_qubits_per_axis=4, domain_length=0.2)
+        z_values = [zr * params.rayleigh_length for zr in DEFAULTS["gaussian-2d"]["zr"]]
+        table = error_analysis(params, z_values, [100, 1000], 5, 7)
+        expected = [
+            [repr(z), repr(n_shots), "5", repr(float(stats.mu)), repr(float(stats.sigma))]
+            for (z, n_shots), stats in sorted(table.items())
+        ]
+        # (z, n_shots, n_sim, mu_error, sigma_w) after the z_ratio column
+        lines = (out / "sigma_w.csv").read_text().splitlines()
+        header, *rows = [line.split(",")[1:] for line in lines]
+        assert header == ["z", "n_shots", "n_sim", "mu_error", "sigma_w"]
+        assert len(rows) == 8
+        assert rows == expected
 
 
 class TestPropagateCommand:
@@ -226,8 +220,7 @@ class TestErrorAnalysisCommand:
         out = tmp_path / "run"
         rc = main(
             [
-                "error-analysis", "--scenario", "double-slit", "--qubits", "11",
-                "--domain-length", "0.0064",
+                "error-analysis", "--qubits", "11", "--domain-length", "0.0064",
                 "--z", "0", "--z", "0.05", "--shots", "500", "--sims", "4",
                 "--config", str(self.write_config(tmp_path)),
                 "--out", str(out),
@@ -251,8 +244,7 @@ class TestErrorAnalysisCommand:
         config.write_text(json.dumps({"shots": [500], "sims": 3, "z": [0.0]}))
         rc = main(
             [
-                "error-analysis", "--scenario", "double-slit", "--qubits", "11",
-                "--domain-length", "0.0064",
+                "error-analysis", "--qubits", "11", "--domain-length", "0.0064",
                 "--sims", "2", "--config", str(config), "--out", str(out),
             ]
         )
@@ -269,51 +261,19 @@ class TestErrorAnalysisCommand:
         rc = main(["error-analysis", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_unknown_scenario_rejected(self, tmp_path):
-        # argparse rejects the choice and exits with the config-error code
-        with pytest.raises(SystemExit) as excinfo:
-            main(["error-analysis", "--scenario", "bogus", "--out", str(tmp_path / "run")])
-        assert excinfo.value.code == 2
-
-    def test_gaussian_scenario(self, tmp_path):
+    def test_config_naming_a_scenario_rejected(self, tmp_path, capsys):
+        # a config.json written when error-analysis also repeated the 2D beam
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "command": "error-analysis", "version": __version__, "scenario": "double-slit",
+            "qubits": None, "domain_length": None, "z": [0.0], "shots": [200], "sims": 2,
+            "seed": 1234, "out": "old",
+        }))
         out = tmp_path / "run"
-        rc = main(
-            [
-                "error-analysis", "--scenario", "gaussian-2d", "--qubits", "4",
-                "--domain-length", "0.2",
-                "--zr", "0", "--shots", "200", "--sims", "3", "--out", str(out),
-            ]
+        assert main(["error-analysis", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config keys for error-analysis: ['scenario']\n"
         )
-        assert rc == 0
-        assert (out / "error_stats.csv").exists()
-
-    @pytest.mark.parametrize(
-        "argv, key",
-        [(FAST_ERROR_SLIT, "zr"), (FAST_ERROR_GAUSSIAN, "z")],
-        ids=["double-slit", "gaussian-2d"],
-    )
-    def test_written_config_holds_only_the_read_distance_key(self, tmp_path, argv, key):
-        out = tmp_path / "run"
-        assert main(["error-analysis", *argv, "--out", str(out)]) == 0
-        assert key not in read_json(out / "config.json")
-
-    @pytest.mark.parametrize("given_by", ["flag", "config"])
-    @pytest.mark.parametrize(
-        "argv, key",
-        [(FAST_ERROR_SLIT, "zr"), (FAST_ERROR_GAUSSIAN, "z")],
-        ids=["double-slit", "gaussian-2d"],
-    )
-    def test_other_scenario_distance_key_rejected(self, tmp_path, capsys, argv, key, given_by):
-        # each scenario reads one distance key; the other one, given, is an error
-        out = tmp_path / "run"
-        if given_by == "flag":
-            extra = [f"--{key}", "5"]
-        else:
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({key: [5.0]}))
-            extra = ["--config", str(config)]
-        assert main(["error-analysis", *argv, *extra, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out.exists()
 
 
@@ -476,12 +436,7 @@ class TestInputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args",
-        [
-            ["gaussian-2d", *TestGaussianCommand.ARGS, "--zr", "1e305"],
-            ["error-analysis", *FAST_ERROR_GAUSSIAN, "--zr", "1e305"],
-        ],
-        ids=lambda args: args[0],
+        "args", [["gaussian-2d", *TestGaussianCommand.ARGS, "--zr", "1e305"]], ids=lambda a: a[0]
     )
     def test_overflowing_zr_named(self, tmp_path, capsys, args):
         # zr is finite, but zr times the Rayleigh length is not
@@ -531,11 +486,8 @@ class TestInputContract:
         [
             (["gaussian-2d", *TestGaussianCommand.ARGS, "--waist", "1e150"],
              PHASE_KEYS["gaussian-2d"]),
-            # error-analysis takes the beam's waist and wavelength from its defaults
-            (["error-analysis", *FAST_ERROR_GAUSSIAN, "--domain-length", "1e-150", "--zr", "100"],
-             "zr, domain_length, qubits"),
         ],
-        ids=["gaussian-2d", "error-analysis"],
+        ids=["gaussian-2d"],
     )
     def test_overflowing_rayleigh_distance_names_zr_and_waist(self, tmp_path, capsys, args, keys):
         # the derived z is finite, but its transfer phase is not
@@ -574,8 +526,13 @@ class TestInputContract:
             (["double-slit", "--config"], "[1, 2]", "config file must hold a JSON object"),
             (["propagate", "--input"], "1,2\nx,y\n", "malformed input field file"),
             (["propagate", "--input"], "1,2,3\n4,5,6\n", "input field must have two columns"),
+            (["propagate", "--input"], "1,2\nnan,0\n",
+             "input field {path}: amplitudes must be finite"),
         ],
-        ids=["missing-config", "invalid-json", "json-list", "non-numeric-row", "three-columns"],
+        ids=[
+            "missing-config", "invalid-json", "json-list", "non-numeric-row", "three-columns",
+            "nan-row",
+        ],
     )
     def test_unreadable_file_is_config_error(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "given"
@@ -583,7 +540,7 @@ class TestInputContract:
             path.write_text(text)
         out = tmp_path / "run"
         assert main([*argv, str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {message.format(path=path)}")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -597,7 +554,8 @@ class TestInputContract:
             ("propagate", {"input": 5}, "'input'"),
             ("error-analysis", {"qubits": "9"}, "'qubits'"),
             ("gaussian-2d", {"format": "xml"}, "'format'"),
-            ("error-analysis", {"scenario": "bogus"}, "'scenario'"),
+            # a number default takes no null
+            ("error-analysis", {"domain_length": None}, "'domain_length'"),
             ("double-slit", {"command": "gate-count"}, "'command'"),
         ],
     )
@@ -616,7 +574,6 @@ class TestInputContract:
             ("double-slit", FAST_SLIT, "slit_width"),
             ("double-slit", FAST_SLIT, "domain_length"),
             ("error-analysis", FAST_ERROR_SLIT, "domain_length"),
-            ("error-analysis", FAST_ERROR_GAUSSIAN, "domain_length"),
         ],
     )
     def test_non_finite_parameter_named(self, tmp_path, capsys, command, args, key):
@@ -625,9 +582,7 @@ class TestInputContract:
         assert rc == 2
         assert f"{key} must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "args", [FAST_ERROR_SLIT, FAST_ERROR_GAUSSIAN], ids=["double-slit", "gaussian-2d"]
-    )
+    @pytest.mark.parametrize("args", [FAST_ERROR_SLIT], ids=["double-slit"])
     def test_negative_domain_length_named(self, tmp_path, capsys, args):
         out = tmp_path / "run"
         assert main(["error-analysis", *args, "--domain-length", "-1", "--out", str(out)]) == 2
@@ -650,11 +605,16 @@ class TestInputContract:
             ("error-analysis", FAST_ERROR_SLIT, "--sims", "1"),
             ("error-analysis", FAST_ERROR_SLIT, "--seed", "-1"),
             ("error-analysis", FAST_ERROR_SLIT, "--z", "-1"),
-            ("error-analysis", FAST_ERROR_GAUSSIAN, "--zr", "inf"),
+            # a value that the arguments already hold
+            ("double-slit", FAST_SLIT, "--z", "0.05"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--zr", "1"),
+            ("gaussian-2d", TestGaussianCommand.ARGS, "--sweep-shots", "200"),
+            ("error-analysis", FAST_ERROR_SLIT, "--z", "-0.0"),
+            ("error-analysis", FAST_ERROR_SLIT, "--shots", "200"),
         ],
     )
     def test_sampling_value_out_of_bounds(self, tmp_path, capsys, command, args, flag, value):
-        # checked before the output directory is made
+        # checked before the output directory is made; a list key holds each value once
         out = tmp_path / "run"
         assert main([command, *args, flag, value, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -671,6 +631,10 @@ class TestInputContract:
             ("gaussian-2d", {"sweep_shots": [1e30]}),
             ("gate-count", {"order": 2.5}),
             ("export-qasm", {"order": 2.5}),
+            ("error-analysis", {"z": [0.0, -0.0]}),
+            ("error-analysis", {"shots": [200, 200.0]}),
+            ("gaussian-2d", {"zr": [1.0, 1]}),
+            ("gaussian-2d", {"sweep_shots": [100, 100]}),
         ],
     )
     def test_config_value_out_of_bounds(self, tmp_path, capsys, command, payload):
@@ -682,14 +646,7 @@ class TestInputContract:
         assert capsys.readouterr().err.split()[1].rstrip(":") == key
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["error-analysis", "--qubits", "inf"],
-            ["error-analysis", "--scenario", "gaussian-2d", "--qubits", "4.5"],
-            ["double-slit", "--config", "QUBITS_INF"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", [["double-slit", "--config", "QUBITS_INF"]])
     def test_qubits_must_be_an_integer_in_range(self, tmp_path, capsys, argv):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"qubits": float("inf")}))
@@ -704,13 +661,6 @@ class TestInputContract:
         assert main(["double-slit", "--config", str(config), "--domain-length", "0.0064",
                      "--out", str(out)]) == 0
         assert read_json(out / "config.json")["z"] == [0, 0.05]
-
-    def test_config_none_default_accepts_number_or_null(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"qubits": None, "domain_length": 0.0064, "z": [0.0],
-                                      "shots": [200], "sims": 2}))
-        out = tmp_path / "run"
-        assert main(["error-analysis", "--config", str(config), "--out", str(out)]) == 0
 
     def test_out_path_under_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "afile"
@@ -895,6 +845,10 @@ class TestOptionTable:
             ["error-analysis", "--format", "json"],
             ["gate-count", "--format", "json"],
             ["export-qasm", "--format", "json"],
+            # error-analysis repeats the double slit only, at its z
+            ["error-analysis", "--scenario", "gaussian-2d"],
+            ["error-analysis", "--zr", "1"],
+            ["error-analysis", "--scenario", "bogus"],
         ],
     )
     def test_removed_flags_rejected(self, tmp_path, argv):
@@ -908,8 +862,7 @@ class TestOptionTable:
         [
             ["double-slit", *FAST_SLIT],
             ["gaussian-2d", *TestGaussianCommand.ARGS, "--format", "json"],
-            ["error-analysis", "--scenario", "gaussian-2d", "--qubits", "4",
-             "--domain-length", "0.2", "--zr", "1", "--shots", "200", "--sims", "3"],
+            ["error-analysis", *FAST_ERROR_SLIT],
             ["gate-count", "--qubits", "6"],
             ["export-qasm", "--qubits", "4", "--order", "3"],
             ["propagate", "--input", "FIELD", "--verify"],
