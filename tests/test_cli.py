@@ -646,7 +646,14 @@ class TestInputContract:
         assert capsys.readouterr().err.split()[1].rstrip(":") == key
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["double-slit", "--config", "QUBITS_INF"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["error-analysis", "--config", "QUBITS_INF"],
+            ["gaussian-2d", "--config", "QUBITS_INF"],
+            ["double-slit", "--config", "QUBITS_INF"],
+        ],
+    )
     def test_qubits_must_be_an_integer_in_range(self, tmp_path, capsys, argv):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"qubits": float("inf")}))
