@@ -8,9 +8,8 @@ analysis harness.
 """
 
 from .circuit import MAX_QUBITS, Circuit, Gate, Hadamard, PhaseGate, Swap, fold_phase, scaled_phase
-from .classical_bpm import Field, GridSpec, propagate_1d, propagate_2d, rmse
+from .classical_bpm import DispersionPolynomial, Field, GridSpec, propagate_1d, propagate_2d, rmse
 from .propagator import (
-    DispersionPolynomial,
     build_monomial_propagator,
     build_qbpm_circuit,
     build_qbpm_circuit_2d,

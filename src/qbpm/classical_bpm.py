@@ -1,19 +1,24 @@
 """Classical reference propagator: FFT, transfer-function multiply, inverse FFT.
 
-The transfer phase depends only on ``|alpha|``, so it is evaluated once per
-distinct ``|alpha|`` (slots ``0 .. N/2`` of each axis) and then mirrored
-onto slots ``N/2+1 .. N-1``.
-
-Also owns the grid bookkeeping shared by the quantum and classical paths,
-and the normalized root-mean-square intensity error used to compare them
-against analytic references.
+Owns what the quantum and classical paths share: the grid bookkeeping, and
+the transfer phase, ``DispersionPolynomial.phase_angles``, which the circuit
+encodes as phase gates and the FFT path multiplies by.  The paraxial phase
+depends only on ``|alpha|``, so it is evaluated once per distinct ``|alpha|``
+(slots ``0 .. N/2`` of each axis) and then mirrored onto slots
+``N/2+1 .. N-1``.  Also owns the normalized root-mean-square intensity error
+used to compare both paths against analytic references.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
+
+from .circuit import check_integer
+
+MAX_ORDER = 4
 
 
 def is_power_of_two(value: int) -> bool:
@@ -27,7 +32,10 @@ def check_positive(name: str, value) -> None:
 
 
 class PhaseOverflowError(ValueError):
-    """The transfer phase overflows float64."""
+    """The transfer phase at distance ``z`` overflows float64."""
+
+    def __init__(self, z: float) -> None:
+        super().__init__(f"phase must be finite: the transfer phase overflows at z = {z}")
 
 
 @dataclass(frozen=True)
@@ -128,27 +136,51 @@ def wavenumber(wavelength: float) -> float:
     return k
 
 
-def check_propagation_args(wavelength: float, z: float) -> float:
-    """Wavenumber of ``wavelength``; ``z`` must be non-negative and finite."""
-    k = wavenumber(wavelength)
-    if not 0.0 <= z < math.inf:
-        raise ValueError(f"propagation distance must be non-negative and finite, got {z}")
-    return k
+@dataclass(frozen=True)
+class DispersionPolynomial:
+    """Transfer-phase polynomial: phase ``= sum_p orders[p] * alpha**p * z``."""
+
+    orders: Mapping[int, float]
+
+    def __post_init__(self) -> None:
+        orders = dict(self.orders)
+        for p, c in orders.items():
+            check_integer("polynomial order", p, MAX_ORDER)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of order {p} must be finite, got {c}")
+        object.__setattr__(self, "orders", orders)
+
+    @classmethod
+    def paraxial(cls, wavelength: float) -> "DispersionPolynomial":
+        """Quadratic truncation of the free-space dispersion, ``-alpha**2 / (2 k)``."""
+        return cls({2: -1.0 / (2.0 * wavenumber(wavelength))})
+
+    def phase_angles(self, grid: GridSpec, z: float) -> dict[int, float]:
+        """Per-order phase per unit ``g**p`` (``alpha = g * d_alpha``) at a non-negative,
+        finite ``z``; an angle that overflows float64 raises ``PhaseOverflowError``."""
+        if not 0.0 <= z < math.inf:
+            raise ValueError(f"propagation distance must be non-negative and finite, got {z}")
+        try:
+            angles = {p: c * grid.d_alpha**p * z for p, c in sorted(self.orders.items())}
+            if all(map(math.isfinite, angles.values())):
+                return angles
+        except OverflowError:  # d_alpha**p of a tiny grid spacing
+            pass
+        raise PhaseOverflowError(z)
 
 
-def _transfer(grids: tuple[GridSpec, ...], k: float, z: float) -> np.ndarray:
-    """``exp(-i alpha**2 z / (2 k))`` (``alpha**2 + beta**2`` in 2D) at every
-    slot of ``grids``.  It is evaluated at slots ``0 .. N/2`` of each axis,
-    and slots ``N/2+1 .. N-1`` repeat slots ``N/2-1 .. 1``, which have the
-    same ``|alpha|``.  Slot ``N/2`` has the largest ``|alpha|``, so a phase
-    that overflows (a large ``z`` or a tiny spacing) raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        slots = np.ix_(*(np.arange(g.n_points // 2 + 1) * g.d_alpha for g in grids))
-        phase = -1j * sum(f**2 for f in slots) * z / (2.0 * k)
+def _transfer(grids: tuple[GridSpec, ...], angles: list[float], z: float) -> np.ndarray:
+    """``exp(i sum_axis angle * g**2)`` at every slot of ``grids``, with each
+    axis's quadratic angle from ``phase_angles``.  It is evaluated at slots
+    ``0 .. N/2`` of each axis, and slots ``N/2+1 .. N-1`` repeat slots
+    ``N/2-1 .. 1``, which have the same ``g**2``.  Slot ``N/2`` has the
+    largest ``g**2``, so a slot phase that overflows raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 1j * inf has a NaN real part
+        slots = (np.arange(g.n_points // 2 + 1) ** 2 * a for g, a in zip(grids, angles))
+        phase = 1j * sum(np.ix_(*slots))
     if not np.isfinite(phase).all():
-        raise PhaseOverflowError(f"propagation distance z = {z} overflows the transfer phase")
-    transfer = np.exp(phase)
-    del phase
+        raise PhaseOverflowError(z)
+    transfer = np.exp(phase, out=phase)
     for axis in range(transfer.ndim):
         mirror = (slice(None),) * axis + (slice(-2, 0, -1),)
         transfer = np.concatenate((transfer, transfer[mirror]), axis)
@@ -156,11 +188,11 @@ def _transfer(grids: tuple[GridSpec, ...], k: float, z: float) -> np.ndarray:
 
 
 def _propagate(field: Field, wavelength: float, z: float) -> Field:
-    k = check_propagation_args(wavelength, z)
     # values[iy, ix]: the x frequencies run along the last axis
     grids = tuple(reversed(field.grids))
+    angles = [DispersionPolynomial.paraxial(wavelength).phase_angles(g, z)[2] for g in grids]
     spectrum = np.fft.fftn(field.values, norm="ortho")
-    spectrum *= _transfer(grids, k, z)
+    spectrum *= _transfer(grids, angles, z)
     return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))
 
 

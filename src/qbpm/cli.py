@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__, classical_bpm
 from .circuit import MAX_QUBITS, check_integer
-from .classical_bpm import Field, GridSpec, PhaseOverflowError, check_positive
-from .propagator import DispersionPolynomial, build_monomial_propagator, build_qbpm_circuit
+from .classical_bpm import DispersionPolynomial, Field, GridSpec, PhaseOverflowError, check_positive
+from .propagator import build_monomial_propagator, build_qbpm_circuit
 from .qft import build_iqft, build_qft
 from .qstate import StateVector
 from .scenarios import (

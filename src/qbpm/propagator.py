@@ -7,51 +7,16 @@ transfer phase ``exp(i * phi * g**p)`` into a product of phase gates, one
 per surviving digit subset: ``p = 2`` needs exactly ``n*(n+1)/2`` single-
 and two-qubit phase gates, and order ``p`` needs ``O(n**p)`` gates with at
 most ``p`` qubits each.  The signed frequency layout is encoded by the
-sign-bit terms themselves; no index reshuffling happens anywhere.
+sign-bit terms themselves; no index reshuffling happens anywhere.  Each
+``phi`` is ``classical_bpm.DispersionPolynomial.phase_angles``, as on the FFT path.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
 
 from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, check_integer, scaled_phase
-from .classical_bpm import GridSpec, PhaseOverflowError, check_propagation_args, wavenumber
+from .classical_bpm import MAX_ORDER, DispersionPolynomial, GridSpec
 from .qft import BACKWARD, FORWARD, _qft
-
-MAX_ORDER = 4
-
-
-@dataclass(frozen=True)
-class DispersionPolynomial:
-    """Transfer-phase polynomial: phase ``= sum_p orders[p] * alpha**p * z``."""
-
-    orders: Mapping[int, float]
-
-    def __post_init__(self) -> None:
-        orders = dict(self.orders)
-        for p, c in orders.items():
-            check_integer("polynomial order", p, MAX_ORDER)
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient of order {p} must be finite, got {c}")
-        object.__setattr__(self, "orders", orders)
-
-    @classmethod
-    def paraxial(cls, wavelength: float) -> "DispersionPolynomial":
-        """Quadratic truncation of the free-space dispersion, ``-alpha**2 / (2 k)``."""
-        return cls({2: -1.0 / (2.0 * wavenumber(wavelength))})
-
-    def phase_angles(self, grid: GridSpec, z: float) -> dict[int, float]:
-        """Per-order phase per unit ``g**p`` after discretizing ``alpha = g * d_alpha``;
-        an angle that overflows float64 or is not finite raises ``ValueError``."""
-        try:
-            angles = {p: c * grid.d_alpha**p * z for p, c in sorted(self.orders.items())}
-            if all(map(math.isfinite, angles.values())):
-                return angles
-        except OverflowError:  # d_alpha**p of a tiny grid spacing
-            pass
-        raise PhaseOverflowError(f"phase must be finite: the transfer phase overflows at z = {z}")
 
 
 def signed_index_weights(n: int) -> list[int]:
@@ -114,10 +79,8 @@ def _propagation_gates(
     gates = list(_qft(n, FORWARD))  # checks n first
     if grid.n_qubits != n:
         raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
-    check_propagation_args(wavelength, z)
-    if polynomial is None:
-        polynomial = DispersionPolynomial.paraxial(wavelength)
-    for p, phi in polynomial.phase_angles(grid, z).items():
+    paraxial = DispersionPolynomial.paraxial(wavelength)  # checks the wavelength
+    for p, phi in (polynomial or paraxial).phase_angles(grid, z).items():
         gates += _monomial_gates(n, p, phi)
     gates += reversed(_qft(n, BACKWARD))
     return gates

@@ -329,7 +329,7 @@ class StateVector:
 
     def sample(self, n_shots: int, seed: int) -> SampleCounts:
         """Multinomial draw of ``n_shots`` basis indices; deterministic per seed."""
-        if not isinstance(n_shots, numbers.Integral) or n_shots < 1:
+        if isinstance(n_shots, bool) or not isinstance(n_shots, numbers.Integral) or n_shots < 1:
             raise ValueError(f"n_shots must be an integer >= 1, got {n_shots!r}")
         draws = np.random.default_rng(seed).multinomial(n_shots, self._sampling_distribution)
         return SampleCounts(draws)

@@ -7,6 +7,7 @@ length and its wavelength with ``check_positive``, before relating them."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +44,24 @@ class DoubleSlitParams:
 
 
 def double_slit_initial(params: DoubleSlitParams, grid: GridSpec) -> Field:
-    """Unit-norm aperture field: 1 inside either slit (edges included), else 0."""
-    x = grid.coordinates()
-    half_sep = params.slit_separation / 2.0
-    half_width = params.slit_width / 2.0
-    upper = np.abs(x - half_sep) <= half_width
-    lower = np.abs(x + half_sep) <= half_width
-    per_slit = int(np.count_nonzero(upper))
-    if per_slit < 4:
+    """Unit-norm aperture field: 1 inside either slit (edges included), else 0.
+    Each edge rounds to its nearest grid index: the slits are the disjoint
+    mirror-image index ranges ``[inner, outer]`` and ``[-outer, -inner]``."""
+    d, w, dx = params.slit_separation, params.slit_width, grid.dx
+    inner, outer = round((d - w) / (2.0 * dx)), round((d + w) / (2.0 * dx))
+    if outer - inner < 3:
         raise ValueError(
-            f"slit_width {params.slit_width} covers only {per_slit} grid points, need >= 4: "
-            f"their spacing is domain_length / 2**n_qubits = {grid.dx}"
+            f"slit_width {w} covers only {outer - inner + 1} grid points, need >= 4: "
+            f"their spacing is domain_length / 2**n_qubits = {dx}"
         )
-    values = (upper | lower).astype(np.complex128)
+    if inner < 1 or outer >= grid.n_points // 2:  # slot -N/2 has no mirror image
+        raise ValueError(
+            f"slits do not fit on the grid: (slit_separation -+ slit_width) / 2 rounds to "
+            f"{inner} and {outer} steps of domain_length / 2**n_qubits = {dx}, "
+            f"need 0 < {inner} and {outer} < {grid.n_points // 2}"
+        )
+    g = np.abs(grid.signed_indices())
+    values = ((inner <= g) & (g <= outer)).astype(np.complex128)
     return Field((grid,), values / np.linalg.norm(values))
 
 
@@ -174,8 +180,8 @@ def error_analysis(
     intensity at ``z = 0``) and the sampled-minus-reference waist for the
     Gaussian beam.
     """
-    if n_sim < 2:
-        raise ValueError(f"n_sim must be >= 2, got {n_sim}")
+    if not (isinstance(n_sim, numbers.Integral) and n_sim >= 2):  # True is 1
+        raise ValueError(f"n_sim must be an integer >= 2, got {n_sim!r}")
     if isinstance(scenario, DoubleSlitParams):
         at = double_slit_runner(scenario)
 
@@ -198,7 +204,7 @@ def error_analysis(
         state, reference = at(float(z))
         for n_shots in n_shots_values:
             errors = np.array(
-                [run_error(state.sample(int(n_shots), seed + i), reference) for i in range(n_sim)]
+                [run_error(state.sample(n_shots, seed + i), reference) for i in range(n_sim)]
             )
             table[(float(z), int(n_shots))] = ErrorStats(float(errors.mean()), float(errors.std()))
     return table
@@ -229,9 +235,9 @@ def double_slit_runner(params: DoubleSlitParams):
 
 # Reference double-slit setup: 0.5 mm slit separation, 0.1 mm slit width,
 # 532 nm light on 15 qubits.  The domain length is a free choice (the grid
-# is not fixed by the physics); 0.1024 m puts 32 points across each slit
-# and keeps the far-field pattern inside the window at the default
-# distances.
+# is not fixed by the physics); 0.1024 m puts every slit edge on a grid
+# point, so each slit holds 33 points (edges included), and keeps the
+# far-field pattern inside the window at the default distances.
 DEFAULT_DOUBLE_SLIT = DoubleSlitParams(
     slit_separation=5e-4,
     slit_width=1e-4,

@@ -3,7 +3,7 @@
 ``dft_oracle`` is O(N**2) in time and memory and ``diagonal_oracle`` a
 Python loop over the basis, so both are meant for registers of at most
 about 12 qubits.  ``full_spectrum_propagate`` is the classical propagator
-with the transfer phase evaluated at every slot, not once per ``|alpha|``.
+with the transfer phase evaluated at every slot, not once per ``g**2``.
 ``fraction_scaled_phase`` reduces a phase multiple in ``Fraction``
 arithmetic, apart from the library's integer reduction.
 """
@@ -16,8 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from qbpm import BACKWARD, FORWARD, DoubleSlitParams, Field, fold_phase
-from qbpm.classical_bpm import is_power_of_two, wavenumber
+from qbpm import BACKWARD, FORWARD, DispersionPolynomial, DoubleSlitParams, Field, fold_phase
+from qbpm.classical_bpm import is_power_of_two
 from qbpm.propagator import MAX_ORDER
 
 
@@ -84,13 +84,14 @@ def predicted_fringe_positions(params: DoubleSlitParams, z: float, orders) -> np
 
 
 def full_spectrum_propagate(field: Field, wavelength: float, z: float) -> Field:
-    """FFT, ``exp(-i alpha**2 z / (2 k))`` evaluated at all ``N`` slots of
-    each axis, inverse FFT: the same arithmetic, slot by slot, as the
-    library's propagator, which evaluates each distinct ``|alpha|`` once."""
-    k = wavenumber(wavelength)
+    """FFT, ``exp(i angle * g**2)`` evaluated at all ``N`` signed indices
+    ``g`` of each axis, inverse FFT: the same arithmetic, slot by slot, as
+    the library's propagator, which evaluates each distinct ``g**2`` once."""
+    polynomial = DispersionPolynomial.paraxial(wavelength)
     # values[iy, ix]: the x frequencies run along the last axis
-    freqs = (g.signed_indices() * g.d_alpha for g in reversed(field.grids))
-    freq_squared = sum(f**2 for f in np.ix_(*freqs))
+    grids = tuple(reversed(field.grids))
+    slots = (g.signed_indices() ** 2 * polynomial.phase_angles(g, z)[2] for g in grids)
+    phase = sum(np.ix_(*slots))
     spectrum = np.fft.fftn(field.values, norm="ortho")
-    spectrum *= np.exp(-1j * freq_squared * z / (2.0 * k))
+    spectrum *= np.exp(1j * phase)
     return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))

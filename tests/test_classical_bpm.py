@@ -138,15 +138,22 @@ class TestPropagate1d:
             propagate_1d(field, 1e-6, -0.1)
 
     def test_distance_overflowing_the_phase_rejected(self):
-        # alpha**2 * z overflows to inf, and the phase exp would give NaN
+        # the angle c * d_alpha**2 * z is finite (-2.5e304), but its slot
+        # phase at g = N/2 overflows to inf, and the exp would give NaN
         field = random_field_1d(8, 1e-5, seed=4)
-        with pytest.raises(ValueError, match="z = 1e[+]300 overflows"):
-            propagate_1d(field, 532e-9, 1e300)
+        with pytest.raises(ValueError, match="transfer phase overflows at z = 1e[+]305$"):
+            propagate_1d(field, 532e-9, 1e305)
+
+    def test_phase_whose_product_overflows_before_the_division_by_2k_runs(self):
+        # (g * d_alpha)**2 * z overflows, but the slot phase is 4e303 rad
+        field = random_field_1d(8, 1e-5, seed=4)
+        out = propagate_1d(field, 532e-9, 1e300)
+        assert abs(np.sum(out.intensity()) - 1.0) < 1e-12
 
     def test_tiny_spacing_rejected(self):
         # d_alpha**2 overflows: an error, not a numpy overflow warning
         field = Field((GridSpec(256, 1e-160),), np.ones(256))
-        with pytest.raises(ValueError, match="overflows the transfer phase"):
+        with pytest.raises(ValueError, match="transfer phase overflows at z = 0.1$"):
             propagate_1d(field, 532e-9, 0.1)
 
     def test_subnormal_wavelength_rejected_by_name(self):
@@ -160,7 +167,7 @@ class TestPropagate1d:
 class TestPropagate2d:
     def test_tiny_spacing_rejected(self):
         grid = GridSpec(16, 1e-160)
-        with pytest.raises(ValueError, match="overflows the transfer phase"):
+        with pytest.raises(ValueError, match="transfer phase overflows at z = 0.1$"):
             propagate_2d(Field((grid, grid), np.ones((16, 16))), 532e-9, 0.1)
 
     def test_zero_distance_is_identity(self):

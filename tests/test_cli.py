@@ -186,12 +186,14 @@ class TestPropagateCommand:
     def test_distance_overflowing_the_phase_is_config_error(self, tmp_path, capsys):
         field = self.make_field(tmp_path)
         out = tmp_path / "run"
-        rc = main(["propagate", "--input", str(field), "--z", "1e300", "--verify",
+        # the circuit runs: its angles are finite; the classical slot phase
+        # at g = N/2 (4.2e308 rad) is not
+        rc = main(["propagate", "--input", str(field), "--z", "1e305", "--verify",
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {PHASE_KEYS['propagate']}: propagation distance z = 1e+300 overflows "
-            "the transfer phase\n"
+            f"error: {PHASE_KEYS['propagate']}: phase must be finite: "
+            "the transfer phase overflows at z = 1e+305\n"
         )
         assert not out.exists()
 
@@ -405,14 +407,16 @@ class TestInputContract:
 
     @pytest.mark.parametrize("zr", ["1e303", "1e305"], ids=["phase-overflows", "z-is-inf"])
     def test_gaussian_failing_distance_writes_nothing(self, tmp_path, capsys, zr):
-        # the distances before it run first and succeed
+        # the distances before it run first and succeed; on a 1 mm window
+        # the slot phase of zr = 1e303 (z = 1.5e307) overflows
         out = tmp_path / "run"
-        rc = main(["gaussian-2d", *TestGaussianCommand.ARGS, "--zr", zr, "--out", str(out)])
-        assert rc == 2
+        argv = ["gaussian-2d", *TestGaussianCommand.ARGS, "--domain-length", "1e-3", "--zr", zr]
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "propagation distance" in err
         if zr == "1e303":
-            assert err.startswith(f"error: {PHASE_KEYS['gaussian-2d']}: ")
+            assert err.startswith(f"error: {PHASE_KEYS['gaussian-2d']}: phase must be finite: ")
+        else:
+            assert "propagation distance" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -484,18 +488,21 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "args, keys",
         [
-            (["gaussian-2d", *TestGaussianCommand.ARGS, "--waist", "1e150"],
+            (["gaussian-2d", *TestGaussianCommand.ARGS, "--waist", "1e150",
+              "--domain-length", "1e-3"],
              PHASE_KEYS["gaussian-2d"]),
         ],
         ids=["gaussian-2d"],
     )
     def test_overflowing_rayleigh_distance_names_zr_and_waist(self, tmp_path, capsys, args, keys):
-        # the derived z is finite, but its transfer phase is not
+        # the derived z (5.9e306 at zr = 1) is finite, but its slot phase on
+        # a 1 mm window is not
         out = tmp_path / "run"
         assert main([*args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {keys}: propagation distance z = ")
-        assert err.endswith(" overflows the transfer phase\n")
+        assert err.startswith(
+            f"error: {keys}: phase must be finite: the transfer phase overflows at z = 5.9"
+        )
         assert not out.exists()
 
     def test_gaussian_tiny_spacing_is_config_error(self, tmp_path, capsys):
@@ -504,10 +511,28 @@ class TestInputContract:
         argv = ["gaussian-2d", "--domain-length", "1e-160", "--waist", "5e-161", "--sims", "2"]
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {PHASE_KEYS['gaussian-2d']}: propagation distance z = 0.0 overflows "
-            "the transfer phase\n"
+            f"error: {PHASE_KEYS['gaussian-2d']}: phase must be finite: "
+            "the transfer phase overflows at z = 0.0\n"
         )
         assert not out.exists()
+
+    def test_tiny_spacing_message_same_on_both_paths(self, tmp_path, capsys):
+        # propagate builds the circuit first, gaussian-2d propagates
+        # classically first: the same overflow reads the same after the keys
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((256, 2)), delimiter=",")
+        runs = {
+            "propagate": ["--input", str(field), "--dx", "1e-160", "--z", "0"],
+            "gaussian-2d": ["--domain-length", "1e-160", "--waist", "5e-161", "--sims", "2"],
+        }
+        messages = set()
+        for command, args in runs.items():
+            assert main([command, *args, "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            prefix = f"error: {PHASE_KEYS[command]}: "
+            assert err.startswith(prefix)
+            messages.add(err[len(prefix):])
+        assert messages == {"phase must be finite: the transfer phase overflows at z = 0.0\n"}
 
     @pytest.mark.filterwarnings("error::UserWarning")
     def test_propagate_empty_input_is_config_error(self, tmp_path, capsys):

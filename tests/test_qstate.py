@@ -540,7 +540,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             StateVector.basis_state(1).sample(0, seed=0)
 
-    @pytest.mark.parametrize("n_shots", [-1, 2.5, 3.0])
+    @pytest.mark.parametrize("n_shots", [-1, 2.5, 3.0, True, False])
     def test_bad_shot_count_rejected(self, n_shots):
         with pytest.raises(ValueError, match="n_shots must be an integer >= 1"):
             StateVector.basis_state(1).sample(n_shots, seed=0)

@@ -108,14 +108,44 @@ class TestDoubleSlitInitial:
             assert field.values[index] != 0.0
 
     def test_nonzero_count_is_twice_one_slit(self):
+        # a slit is the inclusive range between its edges rounded to grid indices
         params = DEFAULT_DOUBLE_SLIT
         grid = params.make_grid()
         field = double_slit_initial(params, grid)
-        x = grid.coordinates()
-        one_slit = np.count_nonzero(
-            np.abs(x - params.slit_separation / 2) <= params.slit_width / 2
-        )
+        d, w = params.slit_separation, params.slit_width
+        one_slit = round((d + w) / (2 * grid.dx)) - round((d - w) / (2 * grid.dx)) + 1
+        assert one_slit == 33
         assert np.count_nonzero(field.values) == 2 * one_slit
+
+    def test_edges_between_grid_points_round_to_the_nearest(self):
+        # dx = 1/32 puts the edges (d -+ w) / 2 at 4.8 dx and 11.2 dx
+        params = DoubleSlitParams(0.5, 0.2, 1e-6, 5, 1.0)
+        grid = params.make_grid()
+        g = grid.signed_indices()[double_slit_initial(params, grid).values != 0]
+        assert sorted(g.tolist()) == [*range(-11, -4), *range(5, 12)]
+
+    @pytest.mark.parametrize("n", [13, 15, 17])
+    def test_slit_centres_sit_at_half_the_separation(self, n):
+        params = replace(DEFAULT_DOUBLE_SLIT, n_qubits=n)
+        grid = params.make_grid()
+        g = grid.signed_indices()[double_slit_initial(params, grid).values != 0]
+        for side in (1, -1):
+            centre = np.mean(g[np.sign(g) == side]) * grid.dx
+            assert abs(centre - side * params.slit_separation / 2) <= 1e-12 * grid.dx
+
+    def test_outer_edge_rounding_onto_the_window_edge_rejected(self):
+        # d + w < L, but (d + w) / (2 dx) = 15.68 rounds to N/2 = 16, which
+        # the lower slit could reach and the upper one could not
+        params = DoubleSlitParams(0.6, 0.38, 1e-6, 5, 1.0)
+        with pytest.raises(ValueError, match="^slits do not fit on the grid: .* 16 < 16"):
+            double_slit_initial(params, params.make_grid())
+
+    def test_inner_edges_rounding_onto_the_centre_rejected(self):
+        # d - w = 1 um is under a third of dx: both inner edges round to index
+        # 0, and the two slits would merge into one aperture
+        params = replace(DEFAULT_DOUBLE_SLIT, slit_width=4.99e-4)
+        with pytest.raises(ValueError, match="^slits do not fit on the grid: .* need 0 < 0 "):
+            double_slit_initial(params, params.make_grid())
 
     def test_unit_norm(self):
         field = double_slit_initial(DEFAULT_DOUBLE_SLIT, DEFAULT_DOUBLE_SLIT.make_grid())
@@ -284,6 +314,23 @@ class TestErrorAnalysis:
     def test_requires_repetitions(self):
         with pytest.raises(ValueError):
             error_analysis(DEFAULT_DOUBLE_SLIT, [0.0], [100], n_sim=1, seed=0)
+
+    @pytest.mark.parametrize("n_sim", [1, 2.5, 3.0, True, "5"])
+    def test_repetitions_must_be_an_integer_of_at_least_two(self, n_sim):
+        with pytest.raises(ValueError, match="^n_sim must be an integer >= 2"):
+            error_analysis(DEFAULT_DOUBLE_SLIT, [0.0], [100], n_sim=n_sim, seed=0)
+
+    @pytest.mark.parametrize("n_shots", [100.7, 0.5, 100.0, True])
+    def test_non_integer_shot_count_rejected_not_truncated(self, n_shots):
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 9, 0.0064)
+        with pytest.raises(ValueError, match="^n_shots must be an integer >= 1"):
+            error_analysis(params, [0.0], [n_shots], n_sim=2, seed=0)
+
+    def test_numpy_integer_counts_accepted(self):
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 9, 0.0064)
+        table = error_analysis(params, [0.0], [np.int64(100)], n_sim=np.int32(2), seed=0)
+        assert table == error_analysis(params, [0.0], [100], n_sim=2, seed=0)
+        assert [type(key[1]) for key in table] == [int]
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(TypeError):
