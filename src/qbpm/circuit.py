@@ -5,7 +5,8 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import accumulate
+from typing import Iterable, Sequence, Union
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,15 +155,24 @@ class Circuit:
     The whole sequence is given when the circuit is made, checked against
     the register and kept as the tuple ``gates``; nothing changes it
     afterwards, so a circuit can be shared freely and a slice of its gates
-    stays valid.
+    stays valid; running, counting and export ignore its named ``segments``.
     """
 
     def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
         check_integer("n_qubits", n_qubits)
         self.n_qubits = n_qubits
         self.gates = tuple(gates)
+        self.segments: tuple[tuple[str, int, int], ...] = ()  # see from_segments
         for gate in self.gates:
             check_register(gate, n_qubits)
+
+    @classmethod
+    def from_segments(cls, n_qubits: int, parts: list[tuple[str, Sequence[Gate]]]) -> Circuit:
+        """The ``(name, gates)`` parts joined, each kept as ``(name, start, stop)``."""
+        circuit = cls(n_qubits, [gate for _, gates in parts for gate in gates])
+        bounds = [0, *accumulate(len(gates) for _, gates in parts)]
+        circuit.segments = tuple(zip([name for name, _ in parts], bounds, bounds[1:]))
+        return circuit
 
     def __len__(self) -> int:
         return len(self.gates)

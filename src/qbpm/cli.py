@@ -27,10 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical_bpm
-from .circuit import MAX_QUBITS, check_integer
+from .circuit import MAX_QUBITS, Circuit, check_integer
 from .classical_bpm import DispersionPolynomial, Field, GridSpec, PhaseOverflowError, check_positive
-from .propagator import build_monomial_propagator, build_qbpm_circuit
-from .qft import build_iqft, build_qft
+from .propagator import build_qbpm_circuit
 from .qstate import StateVector
 from .scenarios import (
     DEFAULT_DOUBLE_SLIT,
@@ -140,11 +139,11 @@ DEFAULTS: dict[str, dict] = {
 # config keys with a fixed set of values
 _CHOICES = {"format": ("csv", "json")}
 
-# least value of each sampling count, seed, order and distance key (of every
-# element of a list, which holds each value once); an int bound also asks for
-# an integer of at most _INT64_MAX, numpy's largest shot count, and every
-# value must be finite
-_BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "order": 1, "z": 0.0, "zr": 0.0}
+# least value of each sampling count, seed and distance key (of every element
+# of a list, which holds each value once); an int bound also asks for an
+# integer of at most _INT64_MAX, numpy's largest shot count, and every value
+# must be finite
+_BOUNDS = {"shots": 1, "sweep_shots": 1, "sims": 2, "seed": 0, "z": 0.0, "zr": 0.0}
 _INT64_MAX = 2**63 - 1
 
 # config keys that the transfer phase exp(i c alpha**p z) depends on: the
@@ -233,13 +232,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 )
             if isinstance(low, int) and not (low <= value <= _INT64_MAX and value == int(value)):
                 raise ValueError(f"{key} must be an integer in {low}..{_INT64_MAX}, got {value}")
-    n = config.get("qubits")
     # error-analysis, gate-count and export-qasm size one register, as the
     # double slit does
     _, _, limit, what = _SCENARIOS.get(command, _SCENARIOS["double-slit"])
-    if n is not None:
-        # a JSON number such as 9.0 is the size 9
-        check_integer(what, int(n) if n in range(1, limit + 1) else n, limit)
+    for key, name, top in (("qubits", what, limit), ("order", "order", classical_bpm.MAX_ORDER)):
+        if (value := config.get(key)) is not None:  # a JSON 9.0 is the size 9, 4.0 the order 4
+            check_integer(name, int(value) if value in range(1, top + 1) else value, top)
     return config
 
 
@@ -448,17 +446,19 @@ def cmd_gate_count(config: dict) -> int:
     """Exact gate counts and closed-form checks."""
     n = int(config["qubits"])
     p = int(config["order"])
-    qft_counts = build_qft(n).gate_count()
-    iqft_counts = build_iqft(n).gate_count()
-    propagator_total = len(build_monomial_propagator(n, p, 0.0))
-    qft_total = sum(qft_counts.values())
+    # the counts depend on n and p only, not on the grid, the wavelength or z
+    polynomial = DispersionPolynomial({p: 1.0})
+    pipeline = build_qbpm_circuit(n, GridSpec.from_qubits(n, 1.0), 1.0, 0.0, polynomial)
+    parts = {name: Circuit(n, pipeline.gates[a:b]) for name, a, b in pipeline.segments}
+    qft_counts, iqft_counts = parts["qft"].gate_count(), parts["iqft"].gate_count()
+    qft_total, propagator_total = len(parts["qft"]), len(parts["transfer"])
     lines = [
         f"qubits: {n}",
         f"order: {p}",
         f"qft: {qft_total} gates ({_fmt_kinds(qft_counts)})",
         f"propagator: {propagator_total} gates",
-        f"iqft: {sum(iqft_counts.values())} gates ({_fmt_kinds(iqft_counts)})",
-        f"pipeline total: {qft_total + propagator_total + sum(iqft_counts.values())}",
+        f"iqft: {len(parts['iqft'])} gates ({_fmt_kinds(iqft_counts)})",
+        f"pipeline total: {len(pipeline)}",
     ]
     closed_qft = n + n * (n - 1) // 2 + n // 2
     lines.append(
@@ -473,8 +473,7 @@ def cmd_gate_count(config: dict) -> int:
         )
     else:
         lines.append(f"propagator gate count grows as O(n^{p})")
-    report = "\n".join(lines)
-    print(report)
+    print("\n".join(lines))
     if config["out"]:
         out = _out_dir("gate-count", config)
         _write_json(
@@ -498,12 +497,15 @@ def cmd_export_qasm(config: dict) -> int:
         raise ValueError("export-qasm expects exactly one --z value")
     grid = GridSpec.from_qubits(n, float(config["domain_length"]))
     wavelength = float(config["wavelength"])
-    z = float(config["z"][0])
+    p = int(config["order"])
     # every order gets the paraxial (quadratic) coefficient
     coefficient = DispersionPolynomial.paraxial(wavelength).orders[2]
-    polynomial = DispersionPolynomial({int(config["order"]): coefficient})
-    circuit = build_qbpm_circuit(n, grid, wavelength, z, polynomial)
-    text = circuit.to_qasm_text()
+    polynomial = DispersionPolynomial({p: coefficient})
+    circuit = build_qbpm_circuit(n, grid, wavelength, float(config["z"][0]), polynomial)
+    try:
+        text = circuit.to_qasm_text()
+    except ValueError as exc:  # a phase gate on more qubits than QASM 2.0 expands
+        raise ValueError(f"order {p}: {exc}") from exc
     out = _out_dir("export-qasm", config)
     path = out / "qbpm_circuit.qasm"
     with open(path, "w", newline="\n") as fh:

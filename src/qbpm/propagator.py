@@ -73,17 +73,16 @@ def build_monomial_propagator(n: int, p: int, phi: float) -> Circuit:
 
 def _propagation_gates(
     n: int, grid: GridSpec, wavelength: float, z: float, polynomial: DispersionPolynomial | None
-) -> list[Gate]:
-    """Forward QFT, the transfer phase of every order, then the inverse QFT
-    (the sign +1 transform reversed)."""
-    gates = list(_qft(n, FORWARD))  # checks n first
+) -> list[tuple[str, tuple[Gate, ...]]]:
+    """The ``qft``, ``transfer`` and ``iqft`` parts: forward QFT, the transfer
+    phase of every order, then the inverse QFT (the sign +1 transform reversed)."""
+    qft = _qft(n, FORWARD)  # checks n first
     if grid.n_qubits != n:
         raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
     paraxial = DispersionPolynomial.paraxial(wavelength)  # checks the wavelength
-    for p, phi in (polynomial or paraxial).phase_angles(grid, z).items():
-        gates += _monomial_gates(n, p, phi)
-    gates += reversed(_qft(n, BACKWARD))
-    return gates
+    angles = (polynomial or paraxial).phase_angles(grid, z)
+    transfer = tuple(gate for p, phi in angles.items() for gate in _monomial_gates(n, p, phi))
+    return [("qft", qft), ("transfer", transfer), ("iqft", _qft(n, BACKWARD)[::-1])]
 
 
 def build_qbpm_circuit(
@@ -93,14 +92,14 @@ def build_qbpm_circuit(
     z: float,
     polynomial: DispersionPolynomial | None = None,
 ) -> Circuit:
-    """Full 1D propagation circuit: forward QFT, diagonal phases, inverse QFT.
+    """Full 1D propagation circuit: segments ``qft``, ``transfer`` and ``iqft``.
 
     The forward transform uses exponent sign -1 and the back transform
     sign +1.  With the default paraxial polynomial the quadratic phase per
     unit ``g**2`` is ``-2 pi**2 z / (N**2 dx**2 k)`` with ``k = 2 pi /
     wavelength``.
     """
-    return Circuit(n, _propagation_gates(n, grid, wavelength, z, polynomial))
+    return Circuit.from_segments(n, _propagation_gates(n, grid, wavelength, z, polynomial))
 
 
 def build_qbpm_circuit_2d(
@@ -112,10 +111,11 @@ def build_qbpm_circuit_2d(
 ) -> Circuit:
     """Propagation circuit on a square register of ``2 * n_per_axis`` qubits.
 
-    The pipeline for one axis on ``grid`` acts on qubits ``[0, n)``, and a
-    copy shifted by ``n`` propagates the other axis on ``[n, 2n)``; the two
+    The three segments of one axis on ``grid`` act on qubits ``[0, n)``, then
+    a copy shifted by ``n`` propagates the other axis on ``[n, 2n)``; the two
     commute, so arbitrary (including non-separable) 2D inputs propagate.
     """
     check_integer("n_per_axis", n_per_axis, MAX_QUBITS // 2)
     axis = _propagation_gates(n_per_axis, grid, wavelength, z, polynomial)
-    return Circuit(2 * n_per_axis, axis + [_shifted(g, n_per_axis) for g in axis])
+    shifted = [(name, tuple(_shifted(g, n_per_axis) for g in gates)) for name, gates in axis]
+    return Circuit.from_segments(2 * n_per_axis, axis + shifted)

@@ -15,9 +15,9 @@ The plan moves a phase gate only past phase gates and past Hadamards on
 other qubits, which commute with it, so it equals the gate-by-gate product
 up to rounding.  On the QFT the windows are a radix-``2**R`` Cooley-Tukey
 schedule, found from the gates.  No window or diagonal run crosses a swap
-run, and none crosses the QFT / transfer / inverse-QFT boundaries of a
-propagation circuit, so running those slices one after another executes
-the same steps as running the whole circuit.
+run, and none crosses a boundary of a propagation circuit's
+``Circuit.segments`` (QFT / transfer / inverse QFT), so running those
+slices one after another executes the same steps as the whole circuit.
 """
 from __future__ import annotations
 
@@ -81,8 +81,8 @@ class _Window:
     on a qubit that a joined phase gate brought in and that no deferred
     gate touches.  So a gate is only moved past gates it commutes with.
     A phase gate on Hadamarded qubits only could join too; it is deferred
-    so that no window takes in a transfer layer, and the QFT, transfer and
-    inverse-QFT slices compile to the same steps alone as together.
+    so that no window takes in a transfer layer, and the ``Circuit.segments``
+    of a propagation circuit compile to the same steps alone as together.
     Masks are bit sets of qubits.
     """
 

@@ -200,6 +200,26 @@ class TestCircuit:
         with pytest.raises(ValueError):
             Circuit(3).run(random_state(2, seed=11))
 
+    def test_plain_circuit_has_no_segments(self):
+        assert Circuit(2, [Hadamard(0)]).segments == ()
+
+    def test_from_segments_tiles_the_joined_parts(self):
+        parts = [("a", [Hadamard(0)]), ("empty", ()), ("b", (PhaseGate((0, 1), 0.5), Swap(0, 1)))]
+        circuit = Circuit.from_segments(2, parts)
+        assert circuit.segments == (("a", 0, 1), ("empty", 1, 1), ("b", 1, 3))
+        for (_, gates), (_, a, b) in zip(parts, circuit.segments):
+            assert circuit.gates[a:b] == tuple(gates)
+
+    def test_segments_change_no_run_count_or_export(self):
+        gates = [Hadamard(0), PhaseGate((0, 1, 2), 0.5), Swap(0, 2)]
+        plain = Circuit(3, gates)
+        named = Circuit.from_segments(3, [("a", gates[:1]), ("b", gates[1:])])
+        state = random_state(3, seed=14)
+        assert len(named) == len(plain)
+        assert named.gate_count() == plain.gate_count()
+        assert named.to_qasm_text() == plain.to_qasm_text()
+        assert np.array_equal(named.run(state).amplitudes, plain.run(state).amplitudes)
+
     def test_quadratic_propagator_gate_total(self):
         for n in (1, 4, 15):
             assert len(build_monomial_propagator(n, 2, 0.3)) == n * (n + 1) // 2

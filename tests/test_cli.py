@@ -328,12 +328,20 @@ class TestExportQasmCommand:
         assert rc == 0
         assert "cx " in (out / "qbpm_circuit.qasm").read_text()
 
-    def test_quartic_order_rejected(self, tmp_path):
+    def test_quartic_order_rejected(self, tmp_path, capsys):
         rc = main(
             ["export-qasm", "--qubits", "5", "--order", "4", "--z", "0.1",
              "--out", str(tmp_path / "run")]
         )
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: order 4: cannot export")
+        assert not (tmp_path / "run").exists()
+
+    def test_quartic_order_on_three_qubits_exports(self, tmp_path):
+        # a quartic term on three qubits has at most two controls
+        out = tmp_path / "run"
+        assert main(["export-qasm", "--qubits", "3", "--order", "4", "--out", str(out)]) == 0
+        assert (out / "qbpm_circuit.qasm").exists()
 
 
 class TestInputContract:
@@ -670,6 +678,31 @@ class TestInputContract:
         [key] = payload
         assert capsys.readouterr().err.split()[1].rstrip(":") == key
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gate-count", "export-qasm"])
+    @pytest.mark.parametrize("order", [0, 5, 2.5, float("inf")], ids=["0", "5", "2.5", "inf"])
+    def test_order_must_be_an_integer_in_range(self, tmp_path, capsys, command, order):
+        # one message for every bad order, through the config file and, for an
+        # integer, its flag
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"order": order}))
+        runs = [["--config", str(config)]]
+        if isinstance(order, int):
+            runs.append(["--order", str(order)])
+        for args in runs:
+            out = tmp_path / "run"
+            assert main([command, *args, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: order must be an integer in 1..4, got {order}\n"
+            assert not out.exists()
+
+    def test_config_order_may_be_a_whole_float(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"qubits": 5, "order": 3.0}))
+        assert main(["gate-count", "--config", str(config)]) == 0
+        report = capsys.readouterr().out
+        assert "order: 3\n" in report
+        assert "propagator: 25 gates" in report  # n + C(n,2) + C(n,3) at n = 5
 
     @pytest.mark.parametrize(
         "argv",

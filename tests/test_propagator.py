@@ -14,9 +14,11 @@ from qbpm import (
     GridSpec,
     PhaseGate,
     StateVector,
+    build_iqft,
     build_monomial_propagator,
     build_qbpm_circuit,
     build_qbpm_circuit_2d,
+    build_qft,
     decompose_monomial,
     propagate_1d,
     propagate_2d,
@@ -335,6 +337,59 @@ class TestQbpmCircuit2d:
         grid = GridSpec(2**13, 1e-5)
         with pytest.raises(ValueError):
             build_qbpm_circuit_2d(13, grid, 532e-9, 0.1)
+
+
+SEGMENT_NAMES = ["qft", "transfer", "iqft"]
+
+
+class TestSegments:
+    """The propagation circuits name their QFT, transfer and inverse-QFT
+    slices; the lengths are the closed forms that ``gate-count`` prints."""
+
+    @staticmethod
+    def assert_tiles(circuit, names):
+        assert [name for name, _, _ in circuit.segments] == names
+        bounds = [0] + [b for _, _, b in circuit.segments]
+        assert [a for _, a, _ in circuit.segments] == bounds[:-1]
+        assert bounds[-1] == len(circuit.gates)
+
+    @staticmethod
+    def closed_qft(n):
+        return n + n * (n - 1) // 2 + n // 2
+
+    @pytest.mark.parametrize("orders", [(2,), (3,), (2, 3, 4)], ids=["p2", "p3", "p234"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_1d_segments_tile_the_gates(self, n, orders):
+        polynomial = DispersionPolynomial({p: -1e-7 / p for p in orders})
+        circuit = build_qbpm_circuit(n, GridSpec(2**n, 1e-5), 532e-9, 0.05, polynomial)
+        self.assert_tiles(circuit, SEGMENT_NAMES)
+        lengths = {name: b - a for name, a, b in circuit.segments}
+        if orders == (2,):
+            transfer = n * (n + 1) // 2
+        else:
+            transfer = sum(len(decompose_monomial(n, p)) for p in orders)
+        qft = self.closed_qft(n)
+        assert lengths == {"qft": qft, "transfer": transfer, "iqft": qft}
+        (_, a, b), _, (_, c, d) = circuit.segments
+        assert circuit.gates[a:b] == build_qft(n).gates
+        assert circuit.gates[c:d] == build_iqft(n).gates
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_2d_y_segments_are_the_x_segments_shifted(self, n):
+        grid = GridSpec(2**n, 1e-5)
+        circuit = build_qbpm_circuit_2d(n, grid, 532e-9, 0.05)
+        self.assert_tiles(circuit, SEGMENT_NAMES * 2)
+        x_axis, y_axis = circuit.segments[:3], circuit.segments[3:]
+        assert x_axis == build_qbpm_circuit(n, grid, 532e-9, 0.05).segments
+        assert [b - a for _, a, b in x_axis] == [
+            self.closed_qft(n), n * (n + 1) // 2, self.closed_qft(n)
+        ]
+        for (_, a, b), (_, c, d) in zip(x_axis, y_axis):
+            assert d - c == b - a
+            for x_gate, y_gate in zip(circuit.gates[a:b], circuit.gates[c:d]):
+                assert type(y_gate) is type(x_gate)
+                assert y_gate.qubits == tuple(q + n for q in x_gate.qubits)
+                assert getattr(y_gate, "phi", None) == getattr(x_gate, "phi", None)
 
 
 class TestPinnedGates:

@@ -18,7 +18,6 @@ from qbpm import (
     build_qbpm_circuit,
     build_qbpm_circuit_2d,
     build_qft,
-    decompose_monomial,
     double_slit_initial,
 )
 from qbpm import qstate
@@ -407,16 +406,12 @@ class TestCompiledPlan:
             circuit = build_qbpm_circuit(n, grid, 532e-9, 0.05, polynomial)
         else:
             circuit = build_qbpm_circuit_2d(n, grid, 532e-9, 0.05)
-        n_qft = len(build_qft(n))
-        n_transfer = sum(len(decompose_monomial(n, p)) for p in orders)
-        per_axis = 2 * n_qft + n_transfer
         gates = circuit.gates
-        assert len(gates) == axes * per_axis
+        assert len(circuit.segments) == 3 * axes
         state = random_state(circuit.n_qubits, seed=51)
         sliced = state
-        for base in range(0, len(gates), per_axis):
-            for a, b in ((0, n_qft), (n_qft, n_qft + n_transfer), (n_qft + n_transfer, per_axis)):
-                sliced = sliced.apply_sequence(gates[base + a : base + b])
+        for _, a, b in circuit.segments:
+            sliced = sliced.apply_sequence(gates[a:b])
         assert np.array_equal(state.apply_sequence(gates).amplitudes, sliced.amplitudes)
 
     def test_qft_compiles_to_radix_32_windows(self):
