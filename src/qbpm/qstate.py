@@ -9,15 +9,24 @@ each with one kernel:
   with ``np.matmul``, about ``_CHUNK`` amplitudes at a time;
 - a diagonal run: adjacent phase gates that no window takes, applied as
   one diagonal built by a product transform;
-- a permutation: a maximal run of swaps, applied as one transposed copy.
+- a permutation: the qubit order that swap runs left, applied as one
+  transposed copy before the next Hadamard.
+
+A swap run is a relabel: it moves no amplitude, it only changes where each
+qubit is stored, and later phase gates take their mask bits from the
+stored positions.  The pending order travels with the returned state and
+is applied only before a Hadamard, or once when ``amplitudes`` is read; a
+propagation circuit, whose inverse QFT undoes the QFT's qubit reversal,
+runs no permutation at all.
 
 The plan moves a phase gate only past phase gates and past Hadamards on
 other qubits, which commute with it, so it equals the gate-by-gate product
 up to rounding.  On the QFT the windows are a radix-``2**R`` Cooley-Tukey
 schedule, found from the gates.  No window or diagonal run crosses a swap
 run, and none crosses a boundary of a propagation circuit's
-``Circuit.segments`` (QFT / transfer / inverse QFT), so running those
-slices one after another executes the same steps as the whole circuit.
+``Circuit.segments`` (QFT / transfer / inverse QFT); each slice hands its
+pending qubit order to the next, so running those slices one after another
+executes the same steps as the whole circuit.
 """
 from __future__ import annotations
 
@@ -83,7 +92,8 @@ class _Window:
     A phase gate on Hadamarded qubits only could join too; it is deferred
     so that no window takes in a transfer layer, and the ``Circuit.segments``
     of a propagation circuit compile to the same steps alone as together.
-    Masks are bit sets of qubits.
+    Masks are bit sets of qubits.  A window opens only on qubits stored
+    in place: a pending qubit order is applied before its first Hadamard.
     """
 
     def __init__(self, target: int) -> None:
@@ -149,13 +159,18 @@ def _apply_window(amplitudes: np.ndarray, lo: int, matrix: np.ndarray) -> None:
                 block[..., 0] = block[..., 0] @ matrix.T
 
 
-def _permute(amplitudes: np.ndarray, source: list[int]) -> None:
-    """Move qubit ``source[q]`` to qubit ``q``, for every ``q``, with one
-    transposed copy."""
+def _permuted(amplitudes: np.ndarray, source: list[int]) -> np.ndarray:
+    """Copy of the amplitudes with qubit ``source[q]`` moved to qubit ``q``,
+    for every ``q``, made by one transposed copy."""
     n = len(source)
-    tensor = amplitudes.reshape((2,) * n)
     # tensor axis k holds qubit n - 1 - k
-    tensor[...] = tensor.transpose([n - 1 - source[q] for q in reversed(range(n))]).copy()
+    axes = [n - 1 - source[q] for q in reversed(range(n))]
+    return amplitudes.reshape((2,) * n).transpose(axes).reshape(-1)
+
+
+def _permute(amplitudes: np.ndarray, source: list[int]) -> None:
+    """Move qubit ``source[q]`` to qubit ``q``, for every ``q``, in place."""
+    amplitudes[...] = _permuted(amplitudes, source)
 
 
 def _phase_diagonal(masks: np.ndarray, phis: np.ndarray, span: int) -> np.ndarray:
@@ -199,13 +214,17 @@ def _apply_phase_run(amplitudes: np.ndarray, masks: np.ndarray, phis: np.ndarray
     halves[:, 1, :] *= _phase_diagonal(masks[with_top] - top, phis[with_top], h)
 
 
-def _compile(gates, n_qubits: int) -> list[tuple]:
+def _compile(gates, n_qubits: int, source: list[int] | None = None) -> list[tuple]:
     """Plan of ``(kernel, *args)`` steps equal to applying ``gates`` in
-    order; every gate is checked against the register first."""
+    order to a register whose qubit ``q`` is stored at ``source[q]``
+    (default: every qubit in place); every gate is checked against the
+    register first.  A qubit order still pending at the end is the plan's
+    last step, a ``_permute``."""
     plan: list[tuple] = []
     pending: list[tuple[int, float]] = []  # phase gates placed before the open window
     window: _Window | None = None
-    source: list[int] | None = None  # net permutation of the open swap run
+    identity = list(range(n_qubits))
+    source = identity if source is None else source
 
     def place_phases() -> None:
         if pending:
@@ -221,41 +240,39 @@ def _compile(gates, n_qubits: int) -> list[tuple]:
             pending.extend(window.deferred)
             window = None
 
-    def close_swap_run() -> None:
+    def restore_order() -> None:
         nonlocal source
-        if source is not None and source != sorted(source):
+        if source != identity:
+            place_phases()
             plan.append((_permute, source))
-        source = None
+            source = identity
 
     for gate in gates:
         check_register(gate, n_qubits)
         if isinstance(gate, Swap):
-            if source is None:
-                close_window()
-                place_phases()
-                source = list(range(n_qubits))
+            close_window()
+            place_phases()
+            source = source.copy()
             source[gate.a], source[gate.b] = source[gate.b], source[gate.a]
-            continue
-        close_swap_run()
-        # int(): numpy integer qubits would make numpy integer masks
-        if isinstance(gate, PhaseGate):
-            mask = sum(1 << int(q) for q in gate.qubits)
+        elif isinstance(gate, PhaseGate):
+            # source holds ints, so numpy integer qubits still make int masks
+            mask = sum(1 << source[q] for q in gate.qubits)
             if window is None or not window.add_phase(mask, gate.phi):
                 pending.append((mask, gate.phi))
         elif isinstance(gate, Hadamard):
             target = int(gate.target)
             if window is None or not window.add_hadamard(target):
                 close_window()
+                restore_order()
                 window = _Window(target)
         else:
             raise TypeError(f"unknown gate type {type(gate).__name__}")
     close_window()
     place_phases()
-    close_swap_run()
+    restore_order()
     return plan
 
 
-@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm register of ``2**n_qubits`` complex amplitudes, ``n_qubits``
     read from their count.  Qubit ``j`` carries binary digit ``a_j`` of the
@@ -263,12 +280,25 @@ class StateVector:
     returns a new state; a ``StateVector`` is never mutated after construction.
     """
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        count = len(self.amplitudes)
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        if not isinstance(amplitudes, np.ndarray) or amplitudes.dtype != np.complex128:
+            got = getattr(amplitudes, "dtype", type(amplitudes).__name__)
+            raise ValueError(f"amplitudes must be a complex128 array, got {got}")
+        if amplitudes.ndim != 1:
+            raise ValueError(f"amplitudes must be a 1-D array, got shape {amplitudes.shape}")
+        count = len(amplitudes)
         if count < 2 or not is_power_of_two(count):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {count}")
+        self._stored = amplitudes
+        self._source: list[int] | None = None  # qubit q is stored at _source[q]
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Amplitude of each basis index; a pending qubit order is applied
+        on the first read."""
+        if self._source is None:
+            return self._stored
+        return _permuted(self._stored, self._source)
 
     @classmethod
     def from_amplitudes(cls, values) -> "StateVector":
@@ -295,11 +325,11 @@ class StateVector:
 
     @property
     def n_qubits(self) -> int:
-        return len(self.amplitudes).bit_length() - 1
+        return len(self._stored).bit_length() - 1
 
     @property
     def n_states(self) -> int:
-        return len(self.amplitudes)
+        return len(self._stored)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -311,15 +341,19 @@ class StateVector:
     def apply_sequence(self, gates) -> "StateVector":
         """State after a gate sequence, applied in order; norm is preserved.
 
-        The sequence is compiled into dense windows, diagonal runs and swap
+        The sequence is compiled into dense windows, diagonal runs and
         permutations (see the module docstring), which run on one copy of
-        the amplitudes.
+        the stored amplitudes.  A swap run is a relabel: the qubit order it
+        leaves travels with the new state, and is applied before the next
+        Hadamard of a later sequence or when ``amplitudes`` is read.
         """
-        plan = _compile(gates, self.n_qubits)
-        amplitudes = self.amplitudes.copy()
+        plan = _compile(gates, self.n_qubits, self._source)
+        state = StateVector(self._stored.copy())
+        if plan and plan[-1][0] is _permute:
+            state._source = plan.pop()[1]
         for kernel, *args in plan:
-            kernel(amplitudes, *args)
-        return StateVector(amplitudes)
+            kernel(state._stored, *args)
+        return state
 
     @cached_property
     def _sampling_distribution(self) -> np.ndarray:

@@ -66,6 +66,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"power of two >= 2, got {count}$"):
             StateVector(np.ones(count, dtype=np.complex128))
 
+    @pytest.mark.parametrize(
+        "amplitudes, message",
+        [
+            (np.ones(4), "complex128 array, got float64"),
+            (np.ones(4, dtype=np.complex64), "complex128 array, got complex64"),
+            ([1j, 0j], "complex128 array, got list"),
+            (np.ones((2, 2), dtype=np.complex128), r"1-D array, got shape \(2, 2\)"),
+            (np.array(1j), r"1-D array, got shape \(\)"),
+        ],
+        ids=["float64", "complex64", "list", "2-d", "0-d"],
+    )
+    def test_constructor_takes_only_a_1d_complex128_array(self, amplitudes, message):
+        # a float array would drop the imaginary part of every phase applied
+        # to it; a 2-D one would read as too few qubits
+        with pytest.raises(ValueError, match=message):
+            StateVector(amplitudes)
+
     def test_rejects_zero_and_non_finite(self):
         with pytest.raises(ValueError, match="amplitudes must not all be zero"):
             StateVector.from_amplitudes([0.0, 0.0])
@@ -442,6 +459,83 @@ class TestCompiledPlan:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * qstate._CHUNK * amplitudes.itemsize  # 2 MiB
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            build_qbpm_circuit(12, GridSpec(2**12, 1e-5), 532e-9, 0.05),
+            build_qbpm_circuit(
+                12, GridSpec(2**12, 1e-5), 532e-9, 0.05, DispersionPolynomial({2: -5e-8, 3: 1e-9})
+            ),
+            build_qbpm_circuit_2d(6, GridSpec(2**6, 1e-5), 532e-9, 0.05),
+        ],
+        ids=["1d-p2", "1d-p23", "2d"],
+    )
+    def test_propagation_plans_run_no_permutation(self, circuit):
+        # the inverse QFT's swaps undo the QFT's qubit reversal, so the
+        # transfer run takes its masks in the reversed order and nothing moves
+        kernels = [step[0] for step in qstate._compile(circuit.gates, circuit.n_qubits)]
+        assert qstate._apply_phase_run in kernels and qstate._permute not in kernels
+
+    def test_pending_order_is_applied_once_on_read(self):
+        n = 6
+        state = random_state(n, seed=55)
+        before = state.amplitudes.copy()
+        qft = build_qft(n)
+        transformed = qft.run(state)  # its qubit-reversal swaps are still pending
+        first = transformed.amplitudes
+        assert transformed.amplitudes is first
+        assert np.max(np.abs(first - one_gate_at_a_time(state, qft.gates).amplitudes)) <= 1e-12
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_pipeline_run_and_read_stay_below_two_registers(self):
+        n = 20  # 16 MiB of amplitudes
+        circuit = build_qbpm_circuit(n, GridSpec(2**n, 1e-5), 532e-9, 0.05)
+        state = random_state(n, seed=56)
+        nbytes = state.amplitudes.nbytes
+        tracemalloc.start()
+        try:
+            circuit.run(state).amplitudes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the run's one copy of the register and the transfer run's
+        # half-size diagonals; a permuted copy would add a whole register
+        assert peak < 2 * nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        segments=st.lists(
+            st.sampled_from(["swaps", "phases", "hadamard", "ladder"]), min_size=1, max_size=10
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pieces_cut_at_swap_runs_equal_the_whole_run(self, n, segments, seed):
+        # the qubit order a swap run leaves travels with the returned state,
+        # so pieces cut where a swap run starts or ends run the same steps
+        rng = np.random.default_rng(seed)
+        gates = []
+        for segment in segments:
+            if segment == "swaps":
+                for _ in range(int(rng.integers(1, 4))):
+                    a, b = rng.choice(n, size=2, replace=False)
+                    gates.append(Swap(int(a), int(b)))
+            elif segment == "phases":
+                gates.extend(random_phase_run(n, int(rng.integers(1, 3 * n + 1)), rng))
+            elif segment == "hadamard":
+                gates.append(Hadamard(int(rng.integers(n))))
+            else:
+                gates.extend(random_ladder(n, rng))
+        is_swap = [isinstance(gate, Swap) for gate in gates]
+        cuts = [i for i in range(1, len(gates)) if is_swap[i] != is_swap[i - 1]]
+        state = random_state(n, seed)
+        whole = state.apply_sequence(gates)
+        pieced = state
+        for a, b in zip([0] + cuts, cuts + [len(gates)]):
+            pieced = pieced.apply_sequence(gates[a:b])
+        assert np.array_equal(whole.amplitudes, pieced.amplitudes)
+        assert np.max(np.abs(whole.amplitudes - one_gate_at_a_time(state, gates).amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize(
         "bad", [Hadamard(4), PhaseGate((0, 4), 0.3), Swap(1, 4)], ids=["hadamard", "phase", "swap"]
