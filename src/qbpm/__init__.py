@@ -16,7 +16,7 @@ from .propagator import (
     decompose_monomial,
     signed_index_weights,
 )
-from .qft import BACKWARD, FORWARD, build_iqft, build_qft
+from .qft import build_iqft, build_qft
 from .qstate import SampleCounts, StateVector
 from .scenarios import (
     DEFAULT_DOUBLE_SLIT,
@@ -37,14 +37,12 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKWARD",
     "Circuit",
     "DEFAULT_DOUBLE_SLIT",
     "DEFAULT_GAUSSIAN_2D",
     "DispersionPolynomial",
     "DoubleSlitParams",
     "ErrorStats",
-    "FORWARD",
     "Field",
     "Gate",
     "GaussianParams",

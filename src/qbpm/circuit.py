@@ -143,6 +143,14 @@ def _shifted(gate: Gate, offset: int) -> Gate:
     return Swap(gate.a + offset, gate.b + offset)
 
 
+def inverted(gates: Sequence[Gate]) -> tuple[Gate, ...]:
+    """The adjoint's gates: ``gates`` reversed, each phase negated;
+    Hadamards and swaps are their own inverses."""
+    return tuple(
+        PhaseGate(g.qubits, -g.phi) if isinstance(g, PhaseGate) else g for g in reversed(gates)
+    )
+
+
 def check_register(gate: Gate, n_qubits: int) -> None:
     """Reject ``gate`` if it acts on a qubit outside a register of ``n_qubits``."""
     if max(gate.qubits) >= n_qubits:
@@ -176,6 +184,16 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+    def inverse(self) -> Circuit:
+        """The adjoint circuit; its segments come in reverse order, each
+        with its bounds mirrored."""
+        inverse = Circuit(self.n_qubits, inverted(self.gates))
+        size = len(self.gates)
+        inverse.segments = tuple(
+            (name, size - stop, size - start) for name, start, stop in reversed(self.segments)
+        )
+        return inverse
 
     def gate_count(self) -> dict[str, int]:
         """Exact per-kind gate counts; every kind is present, possibly zero."""

@@ -13,10 +13,11 @@ sign-bit terms themselves; no index reshuffling happens anywhere.  Each
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 
 from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, check_integer, scaled_phase
 from .classical_bpm import MAX_ORDER, DispersionPolynomial, GridSpec
-from .qft import BACKWARD, FORWARD, _qft
+from .qft import _iqft, _qft
 
 
 def signed_index_weights(n: int) -> list[int]:
@@ -30,10 +31,9 @@ def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
     """Exact digit-subset expansion of ``g**p`` over ``n`` two's-complement digits.
 
     Returns ``(qubits, coefficient)`` pairs, ordered by subset size, then
-    qubits.  Repeated digits collapse (``a_j**m == a_j``), coefficients of
-    identical subsets merge, and zero coefficients are dropped; summing
-    ``coefficient * prod(a_j for j in qubits)`` over the result reproduces
-    ``g**p`` exactly for every representable signed ``g``.
+    qubits, without zero coefficients; summing ``coefficient * prod(a_j for
+    j in qubits)`` over the result reproduces ``g**p`` exactly for every
+    representable signed ``g``.
     """
     # checked before the cache, where 2.0 or True would find the entry of 2 or 1
     check_integer("n", n)
@@ -44,18 +44,17 @@ def decompose_monomial(n: int, p: int) -> list[tuple[tuple[int, ...], int]]:
 @cache
 def _expansion(n: int, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The terms of ``decompose_monomial(n, p)``, made once per ``(n, p)``
-    per process: they do not depend on the phase."""
+    per process.  With the digits of ``T`` set, ``g**p = (sum of w over T)**p``
+    sums the coefficients of the subsets of ``T``; inclusion-exclusion inverts
+    that sum.  Digits are idempotent, so no term has more than ``p`` digits."""
     weights = signed_index_weights(n)
-    terms: dict[frozenset[int], int] = {frozenset((j,)): weights[j] for j in range(n)}
-    for _ in range(p - 1):
-        product: dict[frozenset[int], int] = {}
-        for subset, coefficient in terms.items():
-            for j in range(n):
-                key = subset | {j}
-                product[key] = product.get(key, 0) + coefficient * weights[j]
-        terms = product
-    nonzero = ((tuple(sorted(subset)), c) for subset, c in terms.items() if c != 0)
-    return tuple(sorted(nonzero, key=lambda item: (len(item[0]), item[0])))
+    terms = []
+    for subset in (s for size in range(1, p + 1) for s in combinations(range(n), size)):
+        w = [weights[j] for j in subset]
+        parts = (t for k in range(len(w) + 1) for t in combinations(w, k))
+        if c := sum((-1) ** (len(w) - len(t)) * sum(t) ** p for t in parts):
+            terms.append((subset, c))
+    return tuple(terms)
 
 
 def _monomial_gates(n: int, p: int, phi: float) -> list[Gate]:
@@ -75,14 +74,14 @@ def _propagation_gates(
     n: int, grid: GridSpec, wavelength: float, z: float, polynomial: DispersionPolynomial | None
 ) -> list[tuple[str, tuple[Gate, ...]]]:
     """The ``qft``, ``transfer`` and ``iqft`` parts: forward QFT, the transfer
-    phase of every order, then the inverse QFT (the sign +1 transform reversed)."""
-    qft = _qft(n, FORWARD)  # checks n first
+    phase of every order, then the inverse QFT (the QFT's gates inverted)."""
+    qft = _qft(n)  # checks n first, before _iqft's cache
     if grid.n_qubits != n:
         raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
     paraxial = DispersionPolynomial.paraxial(wavelength)  # checks the wavelength
     angles = (polynomial or paraxial).phase_angles(grid, z)
     transfer = tuple(gate for p, phi in angles.items() for gate in _monomial_gates(n, p, phi))
-    return [("qft", qft), ("transfer", transfer), ("iqft", _qft(n, BACKWARD)[::-1])]
+    return [("qft", qft), ("transfer", transfer), ("iqft", _iqft(n))]
 
 
 def build_qbpm_circuit(

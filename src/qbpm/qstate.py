@@ -1,23 +1,20 @@
 """Dense statevector register with gate application and basis sampling.
 
 ``StateVector.apply_sequence`` compiles a gate sequence into a plan and
-runs it on one copy of the amplitudes.  The plan has three kinds of step,
+runs it on one copy of the amplitudes.  The plan has two kinds of step,
 each with one kernel:
 
 - a dense window: Hadamards and phase gates on at most ``R`` consecutive
   qubits, multiplied into one ``2**w x 2**w`` matrix and applied in place
   with ``np.matmul``, about ``_CHUNK`` amplitudes at a time;
 - a diagonal run: adjacent phase gates that no window takes, applied as
-  one diagonal built by a product transform;
-- a permutation: the qubit order that swap runs left, applied as one
-  transposed copy before the next Hadamard.
+  one diagonal built by a product transform.
 
 A swap run is a relabel: it moves no amplitude, it only changes where each
-qubit is stored, and later phase gates take their mask bits from the
-stored positions.  The pending order travels with the returned state and
-is applied only before a Hadamard, or once when ``amplitudes`` is read; a
-propagation circuit, whose inverse QFT undoes the QFT's qubit reversal,
-runs no permutation at all.
+qubit is stored, and later gates act on the stored positions.  The pending
+order travels with the returned state and is applied only when
+``amplitudes`` is read; a propagation circuit, whose inverse QFT undoes
+the QFT's qubit reversal, leaves no order pending.
 
 The plan moves a phase gate only past phase gates and past Hadamards on
 other qubits, which commute with it, so it equals the gate-by-gate product
@@ -92,8 +89,7 @@ class _Window:
     A phase gate on Hadamarded qubits only could join too; it is deferred
     so that no window takes in a transfer layer, and the ``Circuit.segments``
     of a propagation circuit compile to the same steps alone as together.
-    Masks are bit sets of qubits.  A window opens only on qubits stored
-    in place: a pending qubit order is applied before its first Hadamard.
+    Targets and masks are stored qubit positions; masks are bit sets.
     """
 
     def __init__(self, target: int) -> None:
@@ -168,11 +164,6 @@ def _permuted(amplitudes: np.ndarray, source: list[int]) -> np.ndarray:
     return amplitudes.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
-def _permute(amplitudes: np.ndarray, source: list[int]) -> None:
-    """Move qubit ``source[q]`` to qubit ``q``, for every ``q``, in place."""
-    amplitudes[...] = _permuted(amplitudes, source)
-
-
 def _phase_diagonal(masks: np.ndarray, phis: np.ndarray, span: int) -> np.ndarray:
     """``exp(i * theta)`` over the ``2**span`` basis indices of ``span`` qubits.
 
@@ -214,12 +205,12 @@ def _apply_phase_run(amplitudes: np.ndarray, masks: np.ndarray, phis: np.ndarray
     halves[:, 1, :] *= _phase_diagonal(masks[with_top] - top, phis[with_top], h)
 
 
-def _compile(gates, n_qubits: int, source: list[int] | None = None) -> list[tuple]:
+def _compile(gates, n_qubits: int, source: list[int] | None = None) -> tuple[list, list | None]:
     """Plan of ``(kernel, *args)`` steps equal to applying ``gates`` in
     order to a register whose qubit ``q`` is stored at ``source[q]``
-    (default: every qubit in place); every gate is checked against the
-    register first.  A qubit order still pending at the end is the plan's
-    last step, a ``_permute``."""
+    (default: every qubit in place), and the order the plan leaves: qubit
+    ``q`` stored at ``order[q]``, or ``None`` for every qubit in place.
+    Every gate is checked against the register first."""
     plan: list[tuple] = []
     pending: list[tuple[int, float]] = []  # phase gates placed before the open window
     window: _Window | None = None
@@ -240,13 +231,6 @@ def _compile(gates, n_qubits: int, source: list[int] | None = None) -> list[tupl
             pending.extend(window.deferred)
             window = None
 
-    def restore_order() -> None:
-        nonlocal source
-        if source != identity:
-            place_phases()
-            plan.append((_permute, source))
-            source = identity
-
     for gate in gates:
         check_register(gate, n_qubits)
         if isinstance(gate, Swap):
@@ -260,17 +244,15 @@ def _compile(gates, n_qubits: int, source: list[int] | None = None) -> list[tupl
             if window is None or not window.add_phase(mask, gate.phi):
                 pending.append((mask, gate.phi))
         elif isinstance(gate, Hadamard):
-            target = int(gate.target)
+            target = source[gate.target]
             if window is None or not window.add_hadamard(target):
                 close_window()
-                restore_order()
                 window = _Window(target)
         else:
             raise TypeError(f"unknown gate type {type(gate).__name__}")
     close_window()
     place_phases()
-    restore_order()
-    return plan
+    return plan, None if source == identity else source
 
 
 class StateVector:
@@ -341,16 +323,15 @@ class StateVector:
     def apply_sequence(self, gates) -> "StateVector":
         """State after a gate sequence, applied in order; norm is preserved.
 
-        The sequence is compiled into dense windows, diagonal runs and
-        permutations (see the module docstring), which run on one copy of
-        the stored amplitudes.  A swap run is a relabel: the qubit order it
-        leaves travels with the new state, and is applied before the next
-        Hadamard of a later sequence or when ``amplitudes`` is read.
+        The sequence is compiled into dense windows and diagonal runs (see
+        the module docstring), which run on one copy of the stored
+        amplitudes.  A swap run is a relabel: the qubit order it leaves
+        travels with the new state, to later sequences, and is applied only
+        when ``amplitudes`` is read.
         """
-        plan = _compile(gates, self.n_qubits, self._source)
+        plan, order = _compile(gates, self.n_qubits, self._source)
         state = StateVector(self._stored.copy())
-        if plan and plan[-1][0] is _permute:
-            state._source = plan.pop()[1]
+        state._source = order
         for kernel, *args in plan:
             kernel(state._stored, *args)
         return state

@@ -16,10 +16,13 @@ from typing import Mapping
 
 import numpy as np
 
-from qbpm import BACKWARD, FORWARD, DispersionPolynomial, DoubleSlitParams, Field, fold_phase
+from qbpm import DispersionPolynomial, DoubleSlitParams, Field, fold_phase
 from qbpm.classical_bpm import is_power_of_two
 from qbpm.propagator import MAX_ORDER
 
+# exponent signs of the forward and inverse transforms, for dft_oracle
+FORWARD = -1
+BACKWARD = +1
 
 # 2*pi to 50 decimal digits, the modulus of the library's reduction
 _TWO_PI_EXACT = Fraction("6.28318530717958647692528676655900576839433879875021")

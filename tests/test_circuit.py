@@ -220,6 +220,26 @@ class TestCircuit:
         assert named.to_qasm_text() == plain.to_qasm_text()
         assert np.array_equal(named.run(state).amplitudes, plain.run(state).amplitudes)
 
+    def test_inverse_reverses_and_negates_phases(self):
+        circuit = Circuit(2, [Hadamard(0), PhaseGate((0, 1), 0.5), Swap(0, 1), PhaseGate((1,), -2.0)])
+        assert circuit.inverse().gates == (
+            PhaseGate((1,), 2.0),
+            Swap(0, 1),
+            PhaseGate((0, 1), -0.5),
+            Hadamard(0),
+        )
+        state = random_state(2, seed=15)
+        back = circuit.inverse().run(circuit.run(state))
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    def test_inverse_mirrors_the_segments(self):
+        parts = [("a", [Hadamard(0)]), ("empty", ()), ("b", (PhaseGate((0, 1), 0.5), Swap(0, 1)))]
+        inverse = Circuit.from_segments(2, parts).inverse()
+        assert inverse.segments == (("b", 0, 2), ("empty", 2, 2), ("a", 2, 3))
+        for (_, gates), (_, a, b) in zip(parts, reversed(inverse.segments)):
+            assert inverse.gates[a:b] == Circuit(2, gates).inverse().gates
+        assert Circuit(2, [Hadamard(0)]).inverse().segments == ()
+
     def test_quadratic_propagator_gate_total(self):
         for n in (1, 4, 15):
             assert len(build_monomial_propagator(n, 2, 0.3)) == n * (n + 1) // 2

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbpm import (
-    BACKWARD,
     DispersionPolynomial,
     Field,
-    FORWARD,
     GridSpec,
     PhaseGate,
     StateVector,
@@ -25,7 +23,7 @@ from qbpm import (
     signed_index_weights,
 )
 
-from oracles import dft_oracle, diagonal_oracle
+from oracles import BACKWARD, FORWARD, dft_oracle, diagonal_oracle
 
 
 def random_state(n, seed):
@@ -390,6 +388,62 @@ class TestSegments:
                 assert type(y_gate) is type(x_gate)
                 assert y_gate.qubits == tuple(q + n for q in x_gate.qubits)
                 assert getattr(y_gate, "phi", None) == getattr(x_gate, "phi", None)
+
+
+ROUND_TRIP_ORDERS = [(2,), (3,), (2, 3)]
+
+
+def dispersion_circuit(n, orders):
+    polynomial = DispersionPolynomial({p: -1e-7 / p for p in orders})
+    return build_qbpm_circuit(n, GridSpec(2**n, 1e-5), 532e-9, 0.05, polynomial)
+
+
+class TestInverse:
+    """``Circuit.inverse()`` of a propagation circuit undoes it; the check
+    needs no Fourier or diagonal reference, so it runs at any size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 12), st.sampled_from(ROUND_TRIP_ORDERS), st.integers(0, 2**32 - 1)
+    )
+    def test_round_trip_returns_the_input(self, n, orders, seed):
+        circuit = dispersion_circuit(n, orders)
+        state = random_state(n, seed)
+        back = circuit.inverse().run(circuit.run(state))
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    def test_round_trip_at_twenty_qubits(self):
+        circuit = build_qbpm_circuit(20, GridSpec(2**20, 1e-6), 532e-9, 0.05)
+        state = random_state(20, seed=67)
+        back = circuit.inverse().run(circuit.run(state))
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [dispersion_circuit(n, orders) for n in (1, 5, 9) for orders in ROUND_TRIP_ORDERS]
+        + [build_qbpm_circuit_2d(n, GridSpec(2**n, 1e-5), 532e-9, 0.05) for n in (1, 4)],
+    )
+    def test_inverse_twice_is_the_circuit(self, circuit):
+        twice = circuit.inverse().inverse()
+        assert twice.gates == circuit.gates
+        assert twice.segments == circuit.segments
+
+    @pytest.mark.parametrize("axes", [1, 2])
+    def test_inverse_segments_are_reversed_and_mirrored(self, axes):
+        n = 6
+        grid = GridSpec(2**n, 1e-5)
+        if axes == 1:
+            circuit = build_qbpm_circuit(n, grid, 532e-9, 0.05)
+        else:
+            circuit = build_qbpm_circuit_2d(n, grid, 532e-9, 0.05)
+        inverse = circuit.inverse()
+        size = len(circuit)
+        assert inverse.segments == tuple(
+            (name, size - b, size - a) for name, a, b in reversed(circuit.segments)
+        )
+        # the inverse of the forward QFT is the pipeline's own inverse QFT
+        _, a, b = inverse.segments[-1]
+        assert inverse.gates[a:b] == build_iqft(n).gates
 
 
 class TestPinnedGates:

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbpm import (
-    BACKWARD,
-    FORWARD,
     Hadamard,
+    PhaseGate,
     StateVector,
+    Swap,
     build_iqft,
     build_qft,
 )
+from qbpm.circuit import TWO_PI
 
-from oracles import dft_oracle
+from oracles import BACKWARD, FORWARD, dft_oracle
 
 
 def random_state(n, seed):
@@ -88,7 +89,23 @@ class TestBuildQft:
             build_qft(25)
 
 
+def sign_plus_one_qft(n):
+    """The inverse transform's former builder: the QFT with exponent sign +1,
+    whose gates, reversed, made the inverse QFT."""
+    gates = []
+    for target in range(n - 1, -1, -1):
+        gates.append(Hadamard(target))
+        for control in range(target - 1, -1, -1):
+            gates.append(PhaseGate((control, target), BACKWARD * TWO_PI / 2 ** (target - control + 1)))
+    gates.extend(Swap(q, n - 1 - q) for q in range(n // 2))
+    return gates
+
+
 class TestBuildIqft:
+    def test_gates_are_the_sign_plus_one_transform_reversed(self):
+        for n in range(1, 25):
+            assert build_iqft(n).gates == tuple(reversed(sign_plus_one_qft(n)))
+
     def test_inverts_qft(self):
         state = random_state(6, seed=50)
         round_trip = build_iqft(6).run(build_qft(6).run(state))

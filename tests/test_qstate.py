@@ -406,8 +406,8 @@ SLICED_CIRCUITS = [
 
 
 class TestCompiledPlan:
-    """``apply_sequence`` compiles the gates into dense windows, diagonal
-    runs and swap permutations, then runs them on one copy of the state."""
+    """``apply_sequence`` compiles the gates into dense windows and diagonal
+    runs, then runs them on one copy of the state."""
 
     @pytest.mark.parametrize(
         "axes, n, orders",
@@ -432,24 +432,24 @@ class TestCompiledPlan:
         assert np.array_equal(state.apply_sequence(gates).amplitudes, sliced.amplitudes)
 
     def test_qft_compiles_to_radix_32_windows(self):
-        plan = qstate._compile(build_qft(12).gates, 12)
+        plan, order = qstate._compile(build_qft(12).gates, 12)
         assert [step[0] for step in plan] == [
             qstate._apply_window,
             qstate._apply_phase_run,
             qstate._apply_window,
             qstate._apply_phase_run,
             qstate._apply_window,
-            qstate._permute,
         ]
-        windows = [(lo, len(matrix)) for kernel, lo, matrix in plan[:5:2]]
+        windows = [(lo, len(matrix)) for kernel, lo, matrix in plan[::2]]
         assert windows == [(7, 2**qstate.R), (2, 2**qstate.R), (0, 4)]
         assert [len(plan[1][1]), len(plan[3][1])] == [5 * 7, 5 * 2]
-        assert plan[5][1] == list(range(11, -1, -1))
+        assert order == list(range(11, -1, -1))
 
     def test_windows_run_in_place_through_a_small_temporary(self):
         n = 20  # 16 MiB of amplitudes
         amplitudes = random_state(n, seed=52).amplitudes.copy()
-        windows = [step for step in qstate._compile(build_qft(n).gates, n) if step[0] is qstate._apply_window]
+        plan, _ = qstate._compile(build_qft(n).gates, n)
+        windows = [step for step in plan if step[0] is qstate._apply_window]
         assert [lo for _, lo, _ in windows] == [15, 10, 5, 0]
         tracemalloc.start()
         try:
@@ -474,8 +474,8 @@ class TestCompiledPlan:
     def test_propagation_plans_run_no_permutation(self, circuit):
         # the inverse QFT's swaps undo the QFT's qubit reversal, so the
         # transfer run takes its masks in the reversed order and nothing moves
-        kernels = [step[0] for step in qstate._compile(circuit.gates, circuit.n_qubits)]
-        assert qstate._apply_phase_run in kernels and qstate._permute not in kernels
+        plan, order = qstate._compile(circuit.gates, circuit.n_qubits)
+        assert qstate._apply_phase_run in [step[0] for step in plan] and order is None
 
     def test_pending_order_is_applied_once_on_read(self):
         n = 6
@@ -502,6 +502,27 @@ class TestCompiledPlan:
         # the run's one copy of the register and the transfer run's
         # half-size diagonals; a permuted copy would add a whole register
         assert peak < 2 * nbytes
+
+    def test_qft_twice_opens_windows_on_relabelled_qubits(self):
+        # the second QFT's Hadamards act on the qubits the first one's swaps
+        # relabelled, so no step copies the register; the two reversals cancel
+        n = 20  # 16 MiB of amplitudes
+        gates = build_qft(n).gates * 2
+        plan, order = qstate._compile(gates, n)
+        assert {step[0] for step in plan} == {qstate._apply_window, qstate._apply_phase_run}
+        assert order is None
+        state = random_state(n, seed=57)
+        nbytes = state.amplitudes.nbytes
+        tracemalloc.start()
+        try:
+            out = state.apply_sequence(gates).amplitudes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nbytes
+        # the squared Fourier transform maps basis index g to -g mod N
+        negated = state.amplitudes[-np.arange(2**n) % 2**n]
+        assert np.max(np.abs(out - negated)) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -544,7 +565,7 @@ class TestCompiledPlan:
         def no_kernel(*args):
             raise AssertionError("a kernel ran")
 
-        for kernel in ("_apply_window", "_apply_phase_run", "_permute"):
+        for kernel in ("_apply_window", "_apply_phase_run"):
             monkeypatch.setattr(qstate, kernel, no_kernel)
         n = 4
         gates = list(build_qft(n).gates) + [Hadamard(0), bad, Hadamard(1)]
