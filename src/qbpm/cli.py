@@ -9,7 +9,9 @@ that file back through ``--config`` reproduces the run exactly.  Identical
 configuration and seed produce byte-identical output.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numeric
-verification failure (``propagate --verify``).
+verification failure (``propagate --verify``), 141 (128 + SIGPIPE) when
+standard output's reader has gone, as a shell reports for a writer that a
+closed pipe stops; nothing is printed then.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import argparse
 import ctypes
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -222,6 +225,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     config.update((key, value) for key, value in vars(args).items() if key in config)
     for key, low in _BOUNDS.items():
         values = config.get(key, [])
+        if values == [] and key in config:
+            raise ValueError(f"{key} must hold at least one value")
         # 0.0 and -0.0 are one value
         if isinstance(values, list) and len(set(values)) < len(values):
             raise ValueError(f"{key} must hold each value once, got {values}")
@@ -308,17 +313,16 @@ def cmd_double_slit(config: dict) -> int:
     out = _out_dir("double-slit", config)
     rmse_rows = []
     for index, (_, z) in enumerate(distances):
-        state, analytic = at(z)
+        state, analytic, run_error = at(z)
         exact = state.probabilities()
-        sampled = state.sample(int(config["shots"]), int(config["seed"])).frequencies()
-        rows = np.column_stack((x_sorted, sampled[order], exact[order], analytic[order]))
+        counts = state.sample(int(config["shots"]), int(config["seed"]))
+        rmse_rows.append((z, run_error(counts), classical_bpm.rmse(analytic, exact)))
+        sampled = counts.frequencies()[order]
+        rows = np.column_stack((x_sorted, sampled, exact[order], analytic[order]))
         _write_csv(
             out / f"pattern_z{index:02d}.csv",
             ["x", "p_sampled", "p_exact", "i_analytic"],
             rows,
-        )
-        rmse_rows.append(
-            (z, classical_bpm.rmse(analytic, sampled), classical_bpm.rmse(analytic, exact))
         )
     _write_csv(out / "rmse.csv", ["z", "rmse_sampled", "rmse_exact"], rmse_rows)
     print(f"double-slit: wrote {len(config['z'])} patterns to {out}")
@@ -340,7 +344,7 @@ def cmd_gaussian_2d(config: dict) -> int:
     out = _out_dir("gaussian-2d", config)
     waist_rows = []
     for index, (zr, z) in enumerate(distances):
-        state, w_ref = at(z)
+        state, w_ref, run_error = at(z)
         counts = state.sample(int(config["shots"]), int(config["seed"]))
         sampled = counts.frequencies().reshape(shape)
         _write_grid(out / f"intensity_zr{index:02d}_sampled", sampled, config["format"])
@@ -349,8 +353,7 @@ def cmd_gaussian_2d(config: dict) -> int:
             state.probabilities().reshape(shape),
             config["format"],
         )
-        w_q = waist_from_counts(counts, grid)
-        waist_rows.append((zr, z, w_q, w_ref, w_q - w_ref))
+        waist_rows.append((zr, z, waist_from_counts(counts, grid), w_ref, run_error(counts)))
     _write_csv(out / "waist.csv", ["z_ratio", "z", "w_sampled", "w_reference", "error"], waist_rows)
     _write_csv(
         out / "sigma_w.csv", ["z_ratio", "z", "n_shots", "n_sim", "mu_error", "sigma_w"], sweep
@@ -582,7 +585,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve(args.command, args)
-        return COMMANDS[args.command](config)
+        status = COMMANDS[args.command](config)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the exit flush writes what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3

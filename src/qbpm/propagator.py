@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .circuit import MAX_QUBITS, Circuit, Gate, PhaseGate, _shifted, check_integer, scaled_phase
 from .classical_bpm import MAX_ORDER, DispersionPolynomial, GridSpec
-from .qft import _iqft, _qft
+from .qft import _qft
 
 
 def signed_index_weights(n: int) -> list[int]:
@@ -74,14 +74,15 @@ def _propagation_gates(
     n: int, grid: GridSpec, wavelength: float, z: float, polynomial: DispersionPolynomial | None
 ) -> list[tuple[str, tuple[Gate, ...]]]:
     """The ``qft``, ``transfer`` and ``iqft`` parts: forward QFT, the transfer
-    phase of every order, then the inverse QFT (the QFT's gates inverted)."""
-    qft = _qft(n)  # checks n first, before _iqft's cache
+    phase of every order, then the inverse QFT, both transforms from
+    ``_qft(n)``'s cached pair, which also checks ``n``."""
+    qft, iqft = _qft(n)
     if grid.n_qubits != n:
         raise ValueError(f"grid has {grid.n_qubits} qubits, expected {n}")
     paraxial = DispersionPolynomial.paraxial(wavelength)  # checks the wavelength
     angles = (polynomial or paraxial).phase_angles(grid, z)
     transfer = tuple(gate for p, phi in angles.items() for gate in _monomial_gates(n, p, phi))
-    return [("qft", qft), ("transfer", transfer), ("iqft", _iqft(n))]
+    return [("qft", qft), ("transfer", transfer), ("iqft", iqft)]
 
 
 def build_qbpm_circuit(
@@ -101,20 +102,14 @@ def build_qbpm_circuit(
     return Circuit.from_segments(n, _propagation_gates(n, grid, wavelength, z, polynomial))
 
 
-def build_qbpm_circuit_2d(
-    n_per_axis: int,
-    grid: GridSpec,
-    wavelength: float,
-    z: float,
-    polynomial: DispersionPolynomial | None = None,
-) -> Circuit:
-    """Propagation circuit on a square register of ``2 * n_per_axis`` qubits.
+def build_qbpm_circuit_2d(n_per_axis: int, grid: GridSpec, wavelength: float, z: float) -> Circuit:
+    """Paraxial propagation circuit on a square register of ``2 * n_per_axis`` qubits.
 
     The three segments of one axis on ``grid`` act on qubits ``[0, n)``, then
     a copy shifted by ``n`` propagates the other axis on ``[n, 2n)``; the two
     commute, so arbitrary (including non-separable) 2D inputs propagate.
     """
     check_integer("n_per_axis", n_per_axis, MAX_QUBITS // 2)
-    axis = _propagation_gates(n_per_axis, grid, wavelength, z, polynomial)
+    axis = _propagation_gates(n_per_axis, grid, wavelength, z, None)
     shifted = [(name, tuple(_shifted(g, n_per_axis) for g in gates)) for name, gates in axis]
     return Circuit.from_segments(2 * n_per_axis, axis + shifted)

@@ -14,39 +14,34 @@ from functools import cache
 from .circuit import TWO_PI, Circuit, Gate, Hadamard, PhaseGate, Swap, check_integer, inverted
 
 
-def _qft(n: int) -> tuple[Gate, ...]:
-    """Gates of the Fourier transform on ``n`` qubits.
+def _qft(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """Gates of the Fourier transform on ``n`` qubits, and of its inverse.
 
-    Uses ``n`` Hadamards, ``n*(n-1)/2`` controlled phases with angles
-    ``-2*pi / 2**j``, and ``n//2`` explicit qubit-reversal swaps.  The
-    gates do not depend on anything else, so each ``n`` is made once per
-    process and shared: gates are immutable.
+    The forward transform uses ``n`` Hadamards, ``n*(n-1)/2`` controlled
+    phases with angles ``-2*pi / 2**j``, and ``n//2`` explicit
+    qubit-reversal swaps; the inverse is those gates ``inverted``.  The
+    gates do not depend on anything else, so each ``n``'s pair is made once
+    per process and shared: gates are immutable.
     """
     # checked before the cache, where 2.0 or True would find the entry of 2 or 1
     check_integer("n", n)
-    return _qft_gates(int(n))
+    return _qft_pair(int(n))
 
 
 @cache
-def _qft_gates(n: int) -> tuple[Gate, ...]:
+def _qft_pair(n: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     gates: list[Gate] = []
     for target in range(n - 1, -1, -1):
         gates.append(Hadamard(target))
         for control in range(target - 1, -1, -1):
             gates.append(PhaseGate((control, target), -TWO_PI / 2 ** (target - control + 1)))
     gates.extend(Swap(q, n - 1 - q) for q in range(n // 2))
-    return tuple(gates)
-
-
-@cache
-def _iqft(n: int) -> tuple[Gate, ...]:
-    """``_qft(n)`` inverted, made once per ``n`` per process."""
-    return inverted(_qft(n))
+    return tuple(gates), inverted(gates)
 
 
 def build_qft(n: int) -> Circuit:
     """Forward (sign -1) Fourier-transform circuit on ``n`` qubits."""
-    return Circuit(n, _qft(n))
+    return Circuit(n, _qft(n)[0])
 
 
 def build_iqft(n: int) -> Circuit:

@@ -173,49 +173,36 @@ def error_analysis(
 ) -> dict[tuple[float, int], ErrorStats]:
     """Repeated-sampling error table: the ``ErrorStats`` of every ``(z, n_shots)`` key.
 
-    The propagation circuit runs once per ``z``; each of the ``n_sim``
-    repetitions then draws an independent shot histogram with run seed
-    ``seed + run_index``.  The per-run error is the normalized RMSE
-    against the analytic reference for the double slit (the initial
-    intensity at ``z = 0``) and the sampled-minus-reference waist for the
-    Gaussian beam.
+    The scenario's runner runs the propagation circuit once per ``z``; each
+    of the ``n_sim`` repetitions then draws an independent shot histogram
+    with run seed ``seed + run_index``, judged by the runner's ``run_error``.
     """
     if not (isinstance(n_sim, numbers.Integral) and n_sim >= 2):  # True is 1
         raise ValueError(f"n_sim must be an integer >= 2, got {n_sim!r}")
     if isinstance(scenario, DoubleSlitParams):
         at = double_slit_runner(scenario)
-
-        def run_error(counts: SampleCounts, reference) -> float:
-            return rmse(reference, counts.frequencies())
-
     elif isinstance(scenario, GaussianParams):
         at = gaussian_runner(scenario)
-        grid = scenario.make_grid()
-        radius_squared = _radius_squared(grid, grid)  # built once, not per draw
-
-        def run_error(counts: SampleCounts, reference) -> float:
-            return _waist(counts.frequencies(), radius_squared) - reference
-
     else:
         raise TypeError(f"unknown scenario type {type(scenario).__name__}")
 
     table: dict[tuple[float, int], ErrorStats] = {}
     for z in z_values:
-        state, reference = at(float(z))
+        state, _, run_error = at(float(z))
         for n_shots in n_shots_values:
-            errors = np.array(
-                [run_error(state.sample(n_shots, seed + i), reference) for i in range(n_sim)]
-            )
+            errors = np.array([run_error(state.sample(n_shots, seed + i)) for i in range(n_sim)])
             table[(float(z), int(n_shots))] = ErrorStats(float(errors.mean()), float(errors.std()))
     return table
 
 
 def double_slit_runner(params: DoubleSlitParams):
-    """``at(z) -> (state, reference)`` for the double slit.
+    """``at(z) -> (state, reference, run_error)`` for the double slit.
 
     ``state`` is the register after the propagation circuit for distance
     ``z``; ``reference`` is the unit-sum intensity it is judged against:
     the initial intensity at ``z = 0`` and the far-field pattern otherwise.
+    ``run_error(counts)`` is the normalized RMSE of a shot histogram's
+    frequencies against ``reference``.
     """
     grid = params.make_grid()
     initial = double_slit_initial(params, grid)
@@ -228,7 +215,7 @@ def double_slit_runner(params: DoubleSlitParams):
             reference = reference / reference.sum()
         else:
             reference = double_slit_analytic(params, grid, z)
-        return circuit.run(state0), reference
+        return circuit.run(state0), reference, lambda counts: rmse(reference, counts.frequencies())
 
     return at
 
@@ -259,21 +246,28 @@ DEFAULT_GAUSSIAN_2D = GaussianParams(
 
 
 def gaussian_runner(params: GaussianParams):
-    """``at(z) -> (state, reference)`` for the Gaussian beam.
+    """``at(z) -> (state, reference, run_error)`` for the Gaussian beam.
 
     ``state`` is the two-axis register after the propagation circuit for
     distance ``z``; ``reference`` is the second-moment radius of the
-    classically propagated field.
+    classically propagated field.  ``run_error(counts)`` is a shot
+    histogram's second-moment radius minus ``reference``, over a radius
+    grid built once per runner.
     """
     grid = params.make_grid()
     initial = gaussian_initial_2d(params, grid)
     state0 = StateVector.from_amplitudes(initial.values)
+    radius_squared = _radius_squared(grid, grid)
     n = params.n_qubits_per_axis
 
     def at(z: float):
         reference_field = classical_bpm.propagate_2d(initial, params.wavelength, z)
         w_reference = waist_from_field(reference_field)
         circuit = build_qbpm_circuit_2d(n, grid, params.wavelength, z)
-        return circuit.run(state0), w_reference
+
+        def run_error(counts: SampleCounts) -> float:
+            return _waist(counts.frequencies(), radius_squared) - w_reference
+
+        return circuit.run(state0), w_reference, run_error
 
     return at

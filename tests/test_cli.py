@@ -733,6 +733,41 @@ class TestInputContract:
         assert main(["gate-count", "--out", str(blocker / "sub")]) == 2
         assert "afile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for command in DEFAULTS
+            for key, default in DEFAULTS[command].items()
+            if isinstance(default, list)
+        ],
+        ids=lambda item: item,
+    )
+    def test_empty_list_rejected(self, tmp_path, capsys, command, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: []}))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must hold at least one value\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_141_quietly(self, unbuffered):
+        # 128 + SIGPIPE, as a shell reports for a writer that a closed pipe stops
+        env = {k: v for k, v in _module_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "qbpm", "gate-count", "--qubits", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
+
 
 # small valid configuration of each command; "FIELD" is an 8-point input file
 CONTRACT_BASES = {
@@ -880,12 +915,17 @@ def _subparsers() -> dict:
     return action.choices
 
 
-def test_module_entry_point_runs_main():
-    # python -m qbpm, with this checkout's sources ahead of any installed copy
+def _module_env() -> dict:
+    """The environment for ``python -m qbpm`` with this checkout's sources
+    ahead of any installed copy."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_module_entry_point_runs_main():
     result = subprocess.run(
-        [sys.executable, "-m", "qbpm", "--version"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qbpm", "--version"],
+        capture_output=True, text=True, env=_module_env(),
     )
     assert (result.returncode, result.stdout) == (0, f"qbpm {__version__}\n")
 

@@ -336,6 +336,12 @@ class TestQbpmCircuit2d:
         with pytest.raises(ValueError):
             build_qbpm_circuit_2d(13, grid, 532e-9, 0.1)
 
+    def test_takes_no_polynomial(self):
+        # paraxial only: the classical 2D path has no other transfer to check against
+        grid = GridSpec(16, 1e-5)
+        with pytest.raises(TypeError):
+            build_qbpm_circuit_2d(4, grid, 1e-6, 0.02, DispersionPolynomial({2: 1.0}))
+
 
 SEGMENT_NAMES = ["qft", "transfer", "iqft"]
 

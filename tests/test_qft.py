@@ -11,7 +11,8 @@ from qbpm import (
     build_iqft,
     build_qft,
 )
-from qbpm.circuit import TWO_PI
+from qbpm.circuit import TWO_PI, inverted
+from qbpm.qft import _qft
 
 from oracles import BACKWARD, FORWARD, dft_oracle
 
@@ -118,6 +119,20 @@ class TestBuildIqft:
         state = random_state(n, seed)
         back = build_iqft(n).run(build_qft(n).run(state))
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
+
+    @pytest.mark.parametrize("n", [0, 25, 2.0, True])
+    def test_bad_size_rejected_before_the_cache(self, n):
+        # 2.0 and True would otherwise find the cached pair of 2 or 1
+        build_qft(2)
+        build_qft(1)
+        with pytest.raises(ValueError):
+            build_iqft(n)
+
+    def test_one_cached_pair_per_size(self):
+        forward, inverse = _qft(6)
+        assert _qft(6)[1] is inverse
+        assert build_qft(6).gates == forward
+        assert inverse == inverted(forward)
 
     def test_adjoint_matches_conjugated_oracle(self):
         n = 8

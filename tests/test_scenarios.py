@@ -286,7 +286,7 @@ class TestRunners:
     def test_double_slit_zero_distance_reference_is_initial_intensity(self):
         params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
         initial = double_slit_initial(params, params.make_grid())
-        state, reference = double_slit_runner(params)(0.0)
+        state, reference, _ = double_slit_runner(params)(0.0)
         expected = initial.intensity() / initial.intensity().sum()
         assert np.array_equal(reference, expected)
         assert np.max(np.abs(state.amplitudes - initial.values)) < 1e-10
@@ -295,7 +295,7 @@ class TestRunners:
         params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
         grid = params.make_grid()
         initial = double_slit_initial(params, grid)
-        state, reference = double_slit_runner(params)(0.05)
+        state, reference, _ = double_slit_runner(params)(0.05)
         assert np.array_equal(reference, double_slit_analytic(params, grid, 0.05))
         classical = propagate_1d(initial, params.wavelength, 0.05)
         assert np.max(np.abs(state.amplitudes - classical.values)) < 1e-9
@@ -304,10 +304,27 @@ class TestRunners:
         params = GaussianParams(0.05, 532e-9, 4, 0.2)
         initial = gaussian_initial_2d(params, params.make_grid())
         z = params.rayleigh_length
-        state, w_reference = gaussian_runner(params)(z)
+        state, w_reference, _ = gaussian_runner(params)(z)
         classical = propagate_2d(initial, params.wavelength, z)
         assert w_reference == waist_from_field(classical)
         assert np.max(np.abs(state.amplitudes - classical.values.ravel())) < 1e-9
+
+    @pytest.mark.parametrize("z", [0.0, 0.05])
+    def test_double_slit_run_error_is_rmse_of_the_frequencies(self, z):
+        params = DoubleSlitParams(5e-4, 1e-4, 532e-9, 8, 0.0064)
+        state, reference, run_error = double_slit_runner(params)(z)
+        for seed in range(5):
+            counts = state.sample(500, seed)
+            assert run_error(counts) == rmse(reference, counts.frequencies())
+
+    @pytest.mark.parametrize("z_ratio", [0.0, 1.0])
+    def test_gaussian_run_error_is_sampled_minus_reference_waist(self, z_ratio):
+        params = GaussianParams(0.05, 532e-9, 4, 0.2)
+        grid = params.make_grid()
+        state, w_reference, run_error = gaussian_runner(params)(z_ratio * params.rayleigh_length)
+        for seed in range(5):
+            counts = state.sample(500, seed)
+            assert run_error(counts) == waist_from_counts(counts, grid) - w_reference
 
 
 class TestErrorAnalysis:
@@ -352,7 +369,7 @@ class TestErrorAnalysis:
         """The per-run errors of one double-slit table entry, from the
         documented schedule: run i draws with default_rng(seed + i) from the
         normalized probabilities."""
-        state, reference = double_slit_runner(params)(z)
+        state, reference, _ = double_slit_runner(params)(z)
         p = state.probabilities()
         p = p / p.sum()
         return np.array(
