@@ -4,12 +4,15 @@ Owns what the quantum and classical paths share: the grid bookkeeping, and
 the transfer phase, ``DispersionPolynomial.phase_angles``, which the circuit
 encodes as phase gates and the FFT path multiplies by.  The paraxial phase
 depends only on ``|alpha|``, so it is evaluated once per distinct ``|alpha|``
-(slots ``0 .. N/2`` of each axis) and then mirrored onto slots
-``N/2+1 .. N-1``.  Also owns the normalized root-mean-square intensity error
-used to compare both paths against analytic references.
+(slots ``0 .. N/2`` of each axis), and that half table is multiplied into
+slots ``N/2+1 .. N-1`` through mirrored views.  The inverse FFT then runs in
+place, so the spectrum's buffer becomes the result.  Also owns the
+normalized root-mean-square intensity error used to compare both paths
+against analytic references.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -170,30 +173,37 @@ class DispersionPolynomial:
 
 
 def _transfer(grids: tuple[GridSpec, ...], angles: list[float], z: float) -> np.ndarray:
-    """``exp(i sum_axis angle * g**2)`` at every slot of ``grids``, with each
-    axis's quadratic angle from ``phase_angles``.  It is evaluated at slots
-    ``0 .. N/2`` of each axis, and slots ``N/2+1 .. N-1`` repeat slots
-    ``N/2-1 .. 1``, which have the same ``g**2``.  Slot ``N/2`` has the
-    largest ``g**2``, so a slot phase that overflows raises."""
+    """The half-spectrum table ``exp(i sum_axis angle * g**2)`` at slots
+    ``0 .. N/2`` of each axis of ``grids``, with each axis's quadratic angle
+    from ``phase_angles``; ``_multiply_mirrored`` applies it to the full
+    spectrum.  Slot ``N/2`` has the largest ``g**2``, so a slot phase that
+    overflows raises."""
     with np.errstate(over="ignore", invalid="ignore"):  # 1j * inf has a NaN real part
         slots = (np.arange(g.n_points // 2 + 1) ** 2 * a for g, a in zip(grids, angles))
         phase = 1j * sum(np.ix_(*slots))
     if not np.isfinite(phase).all():
         raise PhaseOverflowError(z)
-    transfer = np.exp(phase, out=phase)
-    for axis in range(transfer.ndim):
-        mirror = (slice(None),) * axis + (slice(-2, 0, -1),)
-        transfer = np.concatenate((transfer, transfer[mirror]), axis)
-    return transfer
+    return np.exp(phase, out=phase)
+
+
+def _multiply_mirrored(spectrum: np.ndarray, half: np.ndarray) -> None:
+    """Multiply ``half`` into slots ``0 .. N/2`` of each axis of ``spectrum``
+    and its mirrored view, slots ``N/2-1 .. 1`` (the same ``g**2``), into
+    slots ``N/2+1 .. N-1``: one in-place multiply per side of each axis."""
+    sides = [((slice(m), slice(None)), (slice(m, None), slice(-2, 0, -1))) for m in half.shape]
+    for picks in itertools.product(*sides):
+        target, source = zip(*picks)
+        np.multiply(spectrum[target], half[source], out=spectrum[target])
 
 
 def _propagate(field: Field, wavelength: float, z: float) -> Field:
     # values[iy, ix]: the x frequencies run along the last axis
     grids = tuple(reversed(field.grids))
     angles = [DispersionPolynomial.paraxial(wavelength).phase_angles(g, z)[2] for g in grids]
-    spectrum = np.fft.fftn(field.values, norm="ortho")
-    spectrum *= _transfer(grids, angles, z)
-    return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho"))
+    # with out=, a 2D transform's second axis runs in place, not into a third register
+    spectrum = np.fft.fftn(field.values, norm="ortho", out=np.empty_like(field.values))
+    _multiply_mirrored(spectrum, _transfer(grids, angles, z))
+    return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho", out=spectrum))
 
 
 def propagate_1d(field: Field, wavelength: float, z: float) -> Field:

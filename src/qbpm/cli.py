@@ -318,6 +318,7 @@ def cmd_double_slit(config: dict) -> int:
         counts = state.sample(int(config["shots"]), int(config["seed"]))
         rmse_rows.append((z, run_error(counts), classical_bpm.rmse(analytic, exact)))
         sampled = counts.frequencies()[order]
+        del state, counts  # the register and its histogram: not needed for the rows
         rows = np.column_stack((x_sorted, sampled, exact[order], analytic[order]))
         _write_csv(
             out / f"pattern_z{index:02d}.csv",
@@ -559,19 +560,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _openblas_setter():
-    """The thread setter of the OpenBLAS bundled in numpy's ``numpy.libs``, or
-    None.  numpy 2 bundles scipy-openblas, whose symbols carry a ``scipy_``
-    prefix; the 64-bit integer builds add a ``64_`` suffix."""
+    """The thread setter of the scipy-openblas bundled in numpy's ``numpy.libs``,
+    or None.  Its symbols carry a ``scipy_`` prefix; the 64-bit integer builds
+    add a ``64_`` suffix."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for prefix in ("scipy_", ""):
-            for suffix in ("64_", ""):
-                setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if setter is not None:
-                    return setter
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                return setter
     return None
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,44 @@ class TestHalfSpectrumTransfer:
         monkeypatch.setattr(np, "exp", spy)
         (propagate_1d if axes == 1 else propagate_2d)(field, self.WAVELENGTH, 0.05)
         assert sizes and max(sizes) <= largest
+
+
+def random_field(qubits, seed):
+    """A random field with ``2**n`` points along each axis of ``qubits`` (x first)."""
+    rng = np.random.default_rng(seed)
+    grids = tuple(GridSpec(2**n, 1e-5) for n in qubits)
+    shape = tuple(g.n_points for g in reversed(grids))
+    return Field(grids, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestInPlaceSteps:
+    """The forward FFT writes one new buffer, the half table is multiplied
+    into it and the inverse FFT runs inside it, so a call allocates less than
+    two registers and leaves its input as it was."""
+
+    PROPAGATE = {1: propagate_1d, 2: propagate_2d}
+
+    @pytest.mark.parametrize("qubits", [(20,), (10, 10)], ids=["1d-n20", "2d-n10x10"])
+    def test_propagation_stays_below_two_registers(self, qubits):
+        field = random_field(qubits, seed=500)  # 16 MiB of samples
+        nbytes = field.values.nbytes
+        tracemalloc.start()
+        try:
+            self.PROPAGATE[len(qubits)](field, 532e-9, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the spectrum, which becomes the result, and the half table; a
+        # fresh inverse-FFT output would add a whole register
+        assert peak < 2 * nbytes
+
+    @pytest.mark.parametrize("qubits", [(1,), (9,), (1, 4), (5, 3)])
+    def test_input_is_left_bitwise_unchanged(self, qubits):
+        field = random_field(qubits, seed=501)
+        before = field.values.tobytes()
+        out = self.PROPAGATE[len(qubits)](field, 532e-9, 0.05)
+        assert field.values.tobytes() == before
+        assert not np.shares_memory(out.values, field.values)
 
 
 class TestRmse:

@@ -863,14 +863,16 @@ class TestHostileConfigValues:
 
 
 class TestBlasThreadPin:
-    """``main`` runs numpy's bundled OpenBLAS on one thread, and runs unpinned
-    where it finds no thread setter, with the same output bytes."""
+    """``main`` runs the scipy-openblas that numpy 2.0+ bundles on one thread,
+    and runs unpinned where it finds no thread setter, with the same output
+    bytes."""
 
     @pytest.fixture
     def openblas(self):
-        """The bundled OpenBLAS's thread getter and setter, the count restored
-        afterwards.  A ``numpy.libs`` OpenBLAS whose setter ``main`` cannot
-        find fails here, on whatever numpy runs the suite."""
+        """The bundled scipy-openblas's thread getter and setter, the count
+        restored afterwards.  A ``numpy.libs`` OpenBLAS whose ``scipy_``
+        setter ``main`` cannot find fails here, on whatever numpy runs the
+        suite."""
         paths = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
         if not paths:
             pytest.skip("this numpy bundles no OpenBLAS in numpy.libs")
