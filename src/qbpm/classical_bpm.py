@@ -2,10 +2,11 @@
 
 Owns what the quantum and classical paths share: the grid bookkeeping, and
 the transfer phase, ``DispersionPolynomial.phase_angles``, which the circuit
-encodes as phase gates and the FFT path multiplies by.  The paraxial phase
-depends only on ``|alpha|``, so it is evaluated once per distinct ``|alpha|``
-(slots ``0 .. N/2`` of each axis), and that half table is multiplied into
-slots ``N/2+1 .. N-1`` through mirrored views.  The inverse FFT then runs in
+encodes as phase gates and the FFT path multiplies by, and whose overflow
+rule is the one both paths keep.  The paraxial phase depends only on
+``|alpha|``, so it is evaluated once per distinct ``|alpha|`` (slots
+``0 .. N/2`` of each axis), and that half table is multiplied into slots
+``N/2+1 .. N-1`` through mirrored views.  The inverse FFT then runs in
 place, so the spectrum's buffer becomes the result.  Also owns the
 normalized root-mean-square intensity error used to compare both paths
 against analytic references.
@@ -160,29 +161,28 @@ class DispersionPolynomial:
 
     def phase_angles(self, grid: GridSpec, z: float) -> dict[int, float]:
         """Per-order phase per unit ``g**p`` (``alpha = g * d_alpha``) at a non-negative,
-        finite ``z``; an angle that overflows float64 raises ``PhaseOverflowError``."""
+        finite ``z``.  The one overflow rule of both paths: ``PhaseOverflowError``
+        unless ``2 * sum_p |angle_p| * (N/2)**p`` is finite, so that every phase at
+        ``|g| <= N/2``, and a 2D transfer's sum of two axes' phases, is finite."""
         if not 0.0 <= z < math.inf:
             raise ValueError(f"propagation distance must be non-negative and finite, got {z}")
+        half = grid.n_points // 2
         try:
             angles = {p: c * grid.d_alpha**p * z for p, c in sorted(self.orders.items())}
-            if all(map(math.isfinite, angles.values())):
+            if math.isfinite(2.0 * sum(abs(a) * half**p for p, a in angles.items())):
                 return angles
         except OverflowError:  # d_alpha**p of a tiny grid spacing
             pass
         raise PhaseOverflowError(z)
 
 
-def _transfer(grids: tuple[GridSpec, ...], angles: list[float], z: float) -> np.ndarray:
+def _transfer(grids: tuple[GridSpec, ...], angles: list[float]) -> np.ndarray:
     """The half-spectrum table ``exp(i sum_axis angle * g**2)`` at slots
     ``0 .. N/2`` of each axis of ``grids``, with each axis's quadratic angle
-    from ``phase_angles``; ``_multiply_mirrored`` applies it to the full
-    spectrum.  Slot ``N/2`` has the largest ``g**2``, so a slot phase that
-    overflows raises."""
-    with np.errstate(over="ignore", invalid="ignore"):  # 1j * inf has a NaN real part
-        slots = (np.arange(g.n_points // 2 + 1) ** 2 * a for g, a in zip(grids, angles))
-        phase = 1j * sum(np.ix_(*slots))
-    if not np.isfinite(phase).all():
-        raise PhaseOverflowError(z)
+    from ``phase_angles``, whose rule keeps every slot phase finite;
+    ``_multiply_mirrored`` applies it to the full spectrum."""
+    slots = (np.arange(g.n_points // 2 + 1) ** 2 * a for g, a in zip(grids, angles))
+    phase = 1j * sum(np.ix_(*slots))
     return np.exp(phase, out=phase)
 
 
@@ -202,7 +202,7 @@ def _propagate(field: Field, wavelength: float, z: float) -> Field:
     angles = [DispersionPolynomial.paraxial(wavelength).phase_angles(g, z)[2] for g in grids]
     # with out=, a 2D transform's second axis runs in place, not into a third register
     spectrum = np.fft.fftn(field.values, norm="ortho", out=np.empty_like(field.values))
-    _multiply_mirrored(spectrum, _transfer(grids, angles, z))
+    _multiply_mirrored(spectrum, _transfer(grids, angles))
     return Field(field.grids, np.fft.ifftn(spectrum, norm="ortho", out=spectrum))
 
 

@@ -6,7 +6,10 @@ Every command resolves its configuration from built-in defaults
 JSON config file (``--config``), then explicit flags, and writes the fully
 resolved configuration as ``config.json`` next to its data files; passing
 that file back through ``--config`` reproduces the run exactly.  Identical
-configuration and seed produce byte-identical output.
+configuration and seed produce byte-identical output.  A command checks its
+inputs before it creates its output directory, every distance against the
+transfer phase's one overflow rule (``phase_angles``) among them, so a bad
+input writes nothing.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numeric
 verification failure (``propagate --verify``), 141 (128 + SIGPIPE) when
@@ -40,6 +43,7 @@ from .scenarios import (
     double_slit_runner,
     error_analysis,
     gaussian_runner,
+    sampling_errors,
     waist_from_counts,
 )
 
@@ -265,28 +269,17 @@ def _scenario(name: str, config: dict):
 
 
 def _distances(params, config: dict) -> list[tuple[float, float]]:
-    """``(value, z)`` for each ``z`` of ``config``, or each ``zr`` in Rayleigh lengths."""
-    if "zr" not in config:
-        return [(float(z), float(z)) for z in config["z"]]
-    pairs = [(float(zr), float(zr) * params.rayleigh_length) for zr in config["zr"]]
-    for zr, z in pairs:
-        if z == math.inf:
-            raise ValueError(f"zr: propagation distance of {zr} Rayleigh lengths overflows")
+    """``(value, z)`` for each ``z`` of ``config``, or each ``zr`` in Rayleigh
+    lengths; each ``z`` is held to the transfer phase's one overflow rule on
+    the scenario's grid, so one that fails stops the command before any output."""
+    key, unit = ("zr", params.rayleigh_length) if "zr" in config else ("z", 1.0)
+    pairs = [(float(value), float(value) * unit) for value in config[key]]
+    polynomial, grid = DispersionPolynomial.paraxial(params.wavelength), params.make_grid()
+    for value, z in pairs:
+        if z == math.inf:  # a finite zr times the Rayleigh length
+            raise ValueError(f"zr: propagation distance of {value} Rayleigh lengths overflows")
+        polynomial.phase_angles(grid, z)
     return pairs
-
-
-def _error_rows(params, first_column: dict, shots, config: dict) -> list[tuple]:
-    """The error-analysis table of ``params`` at each ``z`` keying ``first_column``,
-    as rows ``(first_column[z], z, n_shots, n_sim, mu, sigma)`` sorted by ``z``
-    and ``n_shots``."""
-    n_sim = int(config["sims"])
-    table = error_analysis(
-        params, list(first_column), [int(s) for s in shots], n_sim, int(config["seed"])
-    )
-    return [
-        (first_column[z], z, n_shots, n_sim, stats.mu, stats.sigma)
-        for (z, n_shots), stats in sorted(table.items())
-    ]
 
 
 def _out_dir(command: str, config: dict) -> Path:
@@ -305,10 +298,6 @@ def cmd_double_slit(config: dict) -> int:
     order = np.argsort(grid.coordinates(), kind="stable")
     x_sorted = grid.coordinates()[order]
     distances = _distances(params, config)
-    # a resolved z can fail at(z) only on its transfer phase: check each first
-    polynomial = DispersionPolynomial.paraxial(params.wavelength)
-    for _, z in distances:
-        polynomial.phase_angles(grid, z)
 
     out = _out_dir("double-slit", config)
     rmse_rows = []
@@ -337,16 +326,16 @@ def cmd_gaussian_2d(config: dict) -> int:
     grid = params.make_grid()
     shape = (grid.n_points, grid.n_points)
     distances = _distances(params, config)
-    # the sweep runs every distance, so one that fails stops the command
-    # before any file is written
-    z_ratios = {z: zr for zr, z in distances}
-    sweep = _error_rows(params, z_ratios, config["sweep_shots"], config)
+    n_sim, seed = int(config["sims"]), int(config["seed"])
+    sweep_shots = [int(n_shots) for n_shots in config["sweep_shots"]]
 
     out = _out_dir("gaussian-2d", config)
-    waist_rows = []
+    waist_rows, sweep = [], []
     for index, (zr, z) in enumerate(distances):
         state, w_ref, run_error = at(z)
-        counts = state.sample(int(config["shots"]), int(config["seed"]))
+        for n_shots, stats in sampling_errors(state, run_error, sweep_shots, n_sim, seed):
+            sweep.append((zr, z, n_shots, n_sim, stats.mu, stats.sigma))
+        counts = state.sample(int(config["shots"]), seed)
         sampled = counts.frequencies().reshape(shape)
         _write_grid(out / f"intensity_zr{index:02d}_sampled", sampled, config["format"])
         _write_grid(
@@ -356,6 +345,7 @@ def cmd_gaussian_2d(config: dict) -> int:
         )
         waist_rows.append((zr, z, waist_from_counts(counts, grid), w_ref, run_error(counts)))
     _write_csv(out / "waist.csv", ["z_ratio", "z", "w_sampled", "w_reference", "error"], waist_rows)
+    sweep.sort(key=lambda row: row[1:3])  # by z, then n_shots
     _write_csv(
         out / "sigma_w.csv", ["z_ratio", "z", "n_shots", "n_sim", "mu_error", "sigma_w"], sweep
     )
@@ -426,8 +416,9 @@ def cmd_propagate(config: dict) -> int:
 def cmd_error_analysis(config: dict) -> int:
     """Double-slit pattern error: mean and spread over repeated simulations."""
     params = _scenario("double-slit", config)
-    first_column = dict.fromkeys(map(float, config["z"]), "double-slit")
-    rows = _error_rows(params, first_column, config["shots"], config)
+    n_sim, shots = int(config["sims"]), [int(n_shots) for n_shots in config["shots"]]
+    table = error_analysis(params, config["z"], shots, n_sim, int(config["seed"]))
+    rows = [("double-slit", *key, n_sim, s.mu, s.sigma) for key, s in sorted(table.items())]
     out = _out_dir("error-analysis", config)
     _write_csv(
         out / "error_stats.csv", ["scenario", "z", "n_shots", "n_sim", "mu", "sigma"], rows

@@ -173,9 +173,8 @@ def error_analysis(
 ) -> dict[tuple[float, int], ErrorStats]:
     """Repeated-sampling error table: the ``ErrorStats`` of every ``(z, n_shots)`` key.
 
-    The scenario's runner runs the propagation circuit once per ``z``; each
-    of the ``n_sim`` repetitions then draws an independent shot histogram
-    with run seed ``seed + run_index``, judged by the runner's ``run_error``.
+    The scenario's runner runs the propagation circuit once per ``z``, and
+    ``sampling_errors`` judges that state at each shot count.
     """
     if not (isinstance(n_sim, numbers.Integral) and n_sim >= 2):  # True is 1
         raise ValueError(f"n_sim must be an integer >= 2, got {n_sim!r}")
@@ -189,10 +188,18 @@ def error_analysis(
     table: dict[tuple[float, int], ErrorStats] = {}
     for z in z_values:
         state, _, run_error = at(float(z))
-        for n_shots in n_shots_values:
-            errors = np.array([run_error(state.sample(n_shots, seed + i)) for i in range(n_sim)])
-            table[(float(z), int(n_shots))] = ErrorStats(float(errors.mean()), float(errors.std()))
+        for n_shots, stats in sampling_errors(state, run_error, n_shots_values, n_sim, seed):
+            table[(float(z), int(n_shots))] = stats
     return table
+
+
+def sampling_errors(state: StateVector, run_error, shots, n_sim: int, seed: int):
+    """``(n_shots, ErrorStats)`` for each of ``shots``, in order: each of the
+    ``n_sim`` repetitions draws an independent shot histogram of ``state``
+    with run seed ``seed + run_index``, judged by ``run_error``."""
+    for n_shots in shots:
+        errors = np.array([run_error(state.sample(n_shots, seed + i)) for i in range(n_sim)])
+        yield n_shots, ErrorStats(float(errors.mean()), float(errors.std()))
 
 
 def double_slit_runner(params: DoubleSlitParams):

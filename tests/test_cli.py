@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbpm import __version__, cli
+from qbpm import __version__, build_qbpm_circuit_2d, cli, scenarios
 from qbpm.cli import DEFAULTS, build_parser, main
 from qbpm.scenarios import DEFAULT_GAUSSIAN_2D, error_analysis
 
@@ -129,6 +129,18 @@ class TestGaussianCommand:
         assert [row[0] for row in waist] == ["0.09", "0.47"]
         assert sweep == waist
 
+    def test_each_distance_runs_once(self, tmp_path, monkeypatch):
+        # one at(z) per distance builds one circuit: the sweep and the grids share it
+        built = []
+
+        def counting(n_per_axis, grid, wavelength, z):
+            built.append(z)
+            return build_qbpm_circuit_2d(n_per_axis, grid, wavelength, z)
+
+        monkeypatch.setattr(scenarios, "build_qbpm_circuit_2d", counting)
+        assert main(["gaussian-2d", *self.ARGS, "--out", str(tmp_path / "run")]) == 0
+        assert built == [0.0, DEFAULT_GAUSSIAN_2D.rayleigh_length]
+
     def test_sweep_matches_error_analysis(self, tmp_path):
         # the sigma_w sweep is the library's error-analysis table of the beam
         out = tmp_path / "run"
@@ -186,8 +198,8 @@ class TestPropagateCommand:
     def test_distance_overflowing_the_phase_is_config_error(self, tmp_path, capsys):
         field = self.make_field(tmp_path)
         out = tmp_path / "run"
-        # the circuit runs: its angles are finite; the classical slot phase
-        # at g = N/2 (4.2e308 rad) is not
+        # the angle is finite, but the phase at g = N/2 (4.2e308 rad) is not:
+        # the circuit build, the first to call phase_angles, rejects it
         rc = main(["propagate", "--input", str(field), "--z", "1e305", "--verify",
                    "--out", str(out)])
         assert rc == 2
@@ -389,8 +401,10 @@ class TestInputContract:
               "--slit-separation", "5e-161", "--slit-width", "1e-161"], "0.1"),
             (["double-slit", "--qubits", "10", "--domain-length", "1e-6",
               "--slit-separation", "5e-7", "--slit-width", "1e-7", "--z", "1e303"], "1e+303"),
+            # a 1.3e308 rad phase at |g| = N/2, where one ulp is far above 2 pi
+            (["double-slit", "--z", "3e303"], "3e+303"),
         ],
-        ids=["qasm-tiny-spacing", "qasm-far", "slit-tiny-spacing", "slit-far"],
+        ids=["qasm-tiny-spacing", "qasm-far", "slit-tiny-spacing", "slit-far", "slit-default-far"],
     )
     def test_overflowing_transfer_phase_names_z(self, tmp_path, capsys, args, z):
         # z, and the grid spacing through domain_length and qubits, set the phase
@@ -415,7 +429,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("zr", ["1e303", "1e305"], ids=["phase-overflows", "z-is-inf"])
     def test_gaussian_failing_distance_writes_nothing(self, tmp_path, capsys, zr):
-        # the distances before it run first and succeed; on a 1 mm window
+        # every distance is checked before any output; on a 1 mm window
         # the slot phase of zr = 1e303 (z = 1.5e307) overflows
         out = tmp_path / "run"
         argv = ["gaussian-2d", *TestGaussianCommand.ARGS, "--domain-length", "1e-3", "--zr", zr]
@@ -749,6 +763,17 @@ class TestInputContract:
         out = tmp_path / "run"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {key} must hold at least one value\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["propagate", "--input", "FIELD"], ["export-qasm"]],
+                             ids=lambda args: args[0])
+    def test_one_distance_commands_reject_two(self, tmp_path, capsys, args):
+        field = tmp_path / "field.csv"
+        np.savetxt(field, np.ones((8, 2)), delimiter=",")
+        args = [str(field) if arg == "FIELD" else arg for arg in args]
+        out = tmp_path / "run"
+        assert main([*args, "--z", "0.1", "--z", "0.2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {args[0]} expects exactly one --z value\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

@@ -22,6 +22,7 @@ from qbpm import (
     propagate_2d,
     signed_index_weights,
 )
+from qbpm.classical_bpm import PhaseOverflowError
 
 from oracles import BACKWARD, FORWARD, dft_oracle, diagonal_oracle
 
@@ -215,6 +216,25 @@ class TestDispersionPolynomial:
             build_qbpm_circuit(8, GridSpec(256, 1e-160), 532e-9, z)
         with pytest.raises(ValueError, match=message):
             build_qbpm_circuit_2d(4, GridSpec(16, 1e-160), 532e-9, z)
+
+    @pytest.mark.parametrize("z", [2e304, 3e304, 5e304])
+    def test_one_overflow_rule_on_every_path(self, z):
+        # on 256 points of 10 um at 532 nm, 2 * |angle| * (N/2)**2 is finite
+        # at 2e304 and not at 3e304; each path accepts or rejects alike
+        grid = GridSpec(256, 1e-5)
+        calls = [
+            lambda: propagate_1d(Field((grid,), np.ones(256)), 532e-9, z),
+            lambda: propagate_2d(Field((grid, grid), np.ones((256, 256))), 532e-9, z),
+            lambda: build_qbpm_circuit(8, grid, 532e-9, z),
+            lambda: build_qbpm_circuit_2d(8, grid, 532e-9, z),
+        ]
+        for call in calls:
+            if z == 2e304:
+                call()  # a numpy warning would fail the test
+                continue
+            with pytest.raises(PhaseOverflowError) as raised:
+                call()
+            assert str(raised.value).endswith(f"overflows at z = {z}")
 
     def test_infinite_angle_names_z(self):
         poly = DispersionPolynomial({2: 1e308})
